@@ -58,7 +58,6 @@ from .qseries import (
     spt_oracle,
 )
 from .specfun import (
-    ExpansionCoefficients,
     IntegralParams,
     bernoulli_half,
     bessel_i,
@@ -90,7 +89,6 @@ __all__ = [
     "CuspExpansionReport",
     "EvaluationPoint",
     "ExactUnit",
-    "ExpansionCoefficients",
     "IntegralParams",
     "KloostermanValue",
     "MomentTable",

@@ -23,8 +23,6 @@ the cusp-expansion comparison against the exact engine below.
 from __future__ import annotations
 
 import cmath
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -70,6 +68,8 @@ class AsymptoticQuery:
             raise ValueError("r must be an even integer >= 2")
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        if self.k_cap is not None and self.k_cap < 1:
+            raise ValueError("k_cap must be >= 1")
 
     @property
     def cap(self) -> int:
@@ -130,8 +130,12 @@ class TermBreakdown:
         }
 
 
-def _realize(value: complex, what: str) -> float:
-    if abs(value.imag) > 1e-8 * max(abs(value.real), 1e-300):
+def _realize(value: complex, terms: dict, what: str) -> float:
+    """The real part of `value`, the sum of `terms`, once its imaginary part
+    is checked against sum |term|: the scale on which each term's error is
+    bounded, which the real part itself may cancel far below."""
+    scale = sum(abs(term) for term in terms.values())
+    if abs(value.imag) > 1e-8 * max(scale, 1e-300):
         raise ArithmeticError(f"{what} has a non-negligible imaginary part: {value}")
     return value.real
 
@@ -159,7 +163,7 @@ def theorem_a_main(query: AsymptoticQuery) -> TermBreakdown:
                     * bessel_i(Fraction(-3 + 2 * a + 4 * c, 2), root / k))
             mu_acc += term
             out.mu_contributions[(k, a, b, c)] = term
-    out.mu_part = _realize(mu_acc, "mu part")
+    out.mu_part = _realize(mu_acc, out.mu_contributions, "mu part")
 
     h_acc = 0j
     abc = kappa_h_support(r)
@@ -201,7 +205,8 @@ def theorem_a_main(query: AsymptoticQuery) -> TermBreakdown:
                                     * integral_cache[key])
                             h_acc += term
                             out.mordell_contributions[(gamma, t, rho, k, l, a, b, c)] = term
-    out.mordell_part = _realize(h_acc, "mordell part") if out.mordell_contributions else 0.0
+    out.mordell_part = (_realize(h_acc, out.mordell_contributions, "mordell part")
+                        if out.mordell_contributions else 0.0)
     if T <= 3:
         assert out.mordell_part == 0.0 and not out.mordell_contributions
     return out
@@ -390,42 +395,15 @@ class ComparisonRow:
 
 def comparison_rows(T: int, r: int, ns) -> list[ComparisonRow]:
     """Exact values next to both main terms for each requested n."""
-    ns = sorted(set(ns))
-    table = moment_table(T, r, ns[-1])
+    queries = [AsymptoticQuery(T=T, r=r, n=n) for n in sorted(set(ns))]
+    table = moment_table(T, r, queries[-1].n)
     rows = []
-    for n in ns:
-        breakdown = theorem_a_main(AsymptoticQuery(T=T, r=r, n=n))
+    for query in queries:
+        breakdown = theorem_a_main(query)
         rows.append(ComparisonRow(
-            T=T, r=r, n=n, exact=table[n],
+            T=T, r=r, n=query.n, exact=table[query.n],
             thm_a_main=breakdown.total,
-            thm_b_leading=theorem_b_leading(T, r, n),
+            thm_b_leading=theorem_b_leading(T, r, query.n),
         ))
     return rows
 
-
-_COMPARE_HEADER = ["T", "r", "n", "exact", "thmA_main", "thmB_leading",
-                   "rel_err_A", "rel_err_B"]
-
-
-def comparison_to_csv(rows, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_COMPARE_HEADER)
-        for row in rows:
-            w.writerow([row.T, row.r, row.n, row.exact,
-                        f"{row.thm_a_main:.17g}", f"{row.thm_b_leading:.17g}",
-                        f"{row.rel_err_a:.17g}", f"{row.rel_err_b:.17g}"])
-
-
-def comparison_to_json(rows, path) -> None:
-    payload = [
-        {
-            "T": row.T, "r": row.r, "n": row.n, "exact": str(row.exact),
-            "thmA_main": row.thm_a_main, "thmB_leading": row.thm_b_leading,
-            "rel_err_A": row.rel_err_a, "rel_err_B": row.rel_err_b,
-        }
-        for row in rows
-    ]
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")

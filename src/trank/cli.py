@@ -3,7 +3,8 @@
 Subcommands: `moments` (exact tables), `asymptotic` (main-term values),
 `compare` (exact vs main terms), `verify` (transformation-law suites),
 `scan` (exact moment-inequality scan), `spt-check` (the smallest-parts
-identity).  Data goes to --out or stdout as CSV or JSON; progress and
+identity).  Data goes to --out or stdout as CSV or JSON, written here
+only: the library returns data and never writes files.  Progress and
 diagnostics go to stderr only.  Runs are deterministic: the same config
 and seed produce byte-identical reports.
 """
@@ -43,20 +44,20 @@ class RunConfig:
     fmt: str = "csv"
 
     def validate(self) -> None:
+        """Checks the library does not make itself; the library rejects a bad
+        T, r or n before doing any work, and `run` reports both alike."""
         if self.command not in ("moments", "asymptotic", "compare", "verify",
                                 "scan", "spt-check"):
             raise ValueError(f"unknown command {self.command!r}")
-        if self.command in ("moments", "asymptotic", "compare", "scan"):
-            if self.T is None or self.T < 1 or self.T % 2 == 0:
-                raise ValueError("these commands need an odd positive --T")
-            if self.r is None or self.r < 0:
-                raise ValueError("these commands need a nonnegative --r")
-        if self.command == "scan" and self.T < 3:
-            raise ValueError("scan compares T with T-2 and needs T >= 3")
+        if self.command in ("moments", "asymptotic", "compare", "scan") \
+                and (self.T is None or self.r is None):
+            raise ValueError("these commands need --T and --r")
         if self.command in ("asymptotic", "compare") and not self.ns:
             raise ValueError("provide --n (comma list or lo..hi[:step])")
         if self.command == "moments" and self.n_max is None:
             raise ValueError("moments needs --n-max")
+        if self.command == "spt-check" and self.n_max is not None and self.n_max < 1:
+            raise ValueError("spt-check needs --n-max >= 1")
         if self.command == "verify" and self.case is not None \
                 and self.case not in mockforms.VERIFICATION_CASES:
             raise ValueError(
@@ -135,20 +136,20 @@ def _run_moments(config: RunConfig) -> int:
 
 
 def _run_asymptotic(config: RunConfig) -> int:
+    queries = [asymptotics.AsymptoticQuery(T=config.T, r=config.r, n=n, k_cap=config.k_cap)
+               for n in config.ns]
     rows = []
     payload = []
-    for n in config.ns:
-        query = asymptotics.AsymptoticQuery(T=config.T, r=config.r, n=n,
-                                            k_cap=config.k_cap)
+    for query in queries:
         breakdown = asymptotics.theorem_a_main(query)
-        leading = asymptotics.theorem_b_leading(config.T, config.r, n)
-        rows.append([config.T, config.r, n, f"{breakdown.mu_part:.17g}",
+        leading = asymptotics.theorem_b_leading(config.T, config.r, query.n)
+        rows.append([config.T, config.r, query.n, f"{breakdown.mu_part:.17g}",
                      f"{breakdown.mordell_part:.17g}", f"{breakdown.total:.17g}",
                      f"{leading:.17g}"])
         entry = breakdown.as_dict()
         entry["thmB_leading"] = leading
         payload.append(entry)
-        print(f"n={n} done", file=sys.stderr)
+        print(f"n={query.n} done", file=sys.stderr)
     if config.fmt == "csv":
         text = _csv_text(
             ["T", "r", "n", "thmA_mu", "thmA_mordell", "thmA_total", "thmB_leading"],
@@ -212,7 +213,7 @@ def _run_scan(config: RunConfig) -> int:
 
 
 def _run_spt_check(config: RunConfig) -> int:
-    n_max = config.n_max or 60
+    n_max = 60 if config.n_max is None else config.n_max
     m1 = qseries.moment_table(1, 2, n_max)
     m3 = qseries.moment_table(3, 2, n_max)
     rows = []
@@ -244,13 +245,17 @@ _DISPATCH = {
 
 
 def run(config: RunConfig) -> int:
-    """Validate and dispatch one command; returns the process exit code."""
+    """Validate and dispatch one command; returns the process exit code.
+
+    Invalid input, whether `validate` or the library rejects it, ends with
+    exit status 2 and one `error:` line on stderr.
+    """
     try:
         config.validate()
+        return _DISPATCH[config.command](config)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return _DISPATCH[config.command](config)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -268,8 +273,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        f"${OUTPUT_DIR_ENV} if set)")
         p.add_argument("--format", dest="fmt", choices=("csv", "json"),
                        default="csv")
-        p.add_argument("--threads", type=int, default=1,
-                       help="upper bound on worker threads")
 
     p = sub.add_parser("moments", help="exact moment table m_T^r(n)")
     common(p)
@@ -292,6 +295,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol-scale", type=float, default=1.0,
                    help="multiplier on every per-case tolerance")
+    p.add_argument("--threads", type=int, default=1,
+                   help="upper bound on worker threads")
 
     p = sub.add_parser("scan", help="exact m_(T-2)^r > m_T^r scan")
     common(p)
@@ -327,7 +332,7 @@ def main(argv=None) -> int:
         trials=getattr(args, "trials", 20),
         seed=getattr(args, "seed", 0),
         tol_scale=getattr(args, "tol_scale", 1.0),
-        threads=args.threads,
+        threads=getattr(args, "threads", 1),
         k_cap=getattr(args, "k_cap", None),
         out=args.out,
         fmt=args.fmt,

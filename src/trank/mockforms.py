@@ -17,7 +17,6 @@ left/right values and relative errors.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 import random
 from dataclasses import dataclass, field
@@ -444,11 +443,6 @@ class VerificationReport:
             "passed": self.passed,
             "failures": self.failures,
         }
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.as_dict(), fh, sort_keys=True, indent=1)
-            fh.write("\n")
 
 
 def _rel_err(lhs: complex, rhs: complex) -> float:

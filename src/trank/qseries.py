@@ -15,8 +15,6 @@ a finished exact table at a numeric point.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -47,14 +45,6 @@ class PowerSeries:
     @classmethod
     def one(cls, order: int) -> "PowerSeries":
         return cls([1] + [0] * order)
-
-    @classmethod
-    def from_terms(cls, terms: dict[int, int], order: int) -> "PowerSeries":
-        c = [0] * (order + 1)
-        for e, v in terms.items():
-            if 0 <= e <= order:
-                c[e] += v
-        return cls(c)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PowerSeries) and self.coeffs == other.coeffs
@@ -216,22 +206,23 @@ def spt_oracle(n: int) -> int:
     return total
 
 
-def _theta_entries(T: int, m: int, n_max: int):
-    """Sparse exponent->coefficient map of
-    sum_{j>=1} (-1)^(j-1) q^(j(Tj-1)/2 + m j) (1 - q^j), m >= 0."""
-    entries: dict[int, int] = {}
+def _theta_terms(T: int, m: int, n_max: int):
+    """The (exponent, sign) terms up to q^n_max of
+    sum_{j>=1} (-1)^(j-1) q^(j(Tj-1)/2 + m j) (1 - q^j), m >= 0.
+
+    An exponent may repeat (T = 1, m = 0); callers add the signs up.
+    """
     j = 1
     sign = 1
     while True:
         base = j * (T * j - 1) // 2 + m * j
         if base > n_max:
-            break
-        entries[base] = entries.get(base, 0) + sign
+            return
+        yield base, sign
         if base + j <= n_max:
-            entries[base + j] = entries.get(base + j, 0) - sign
+            yield base + j, -sign
         sign = -sign
         j += 1
-    return entries
 
 
 @dataclass(frozen=True)
@@ -275,17 +266,13 @@ def rank_count_table(T: int, n_max: int) -> RankCountTable:
         raise ValueError("n_max must be >= 0")
     p = partition_series(n_max).coeffs
     entries: dict[tuple[int, int], int] = {}
-    for m in range(0, n_max + 1):
-        theta = _theta_entries(T, m, n_max)
-        if not theta:
-            break
+    for m in range(0, n_max - (T - 1) // 2 + 1):
         row = [0] * (n_max + 1)
-        for e, v in theta.items():
-            if v:
-                for i in range(0, n_max + 1 - e):
-                    pi = p[i]
-                    if pi:
-                        row[e + i] += v * pi
+        for e, v in _theta_terms(T, m, n_max):
+            for i in range(0, n_max + 1 - e):
+                pi = p[i]
+                if pi:
+                    row[e + i] += v * pi
         for n in range(m, n_max + 1):
             if row[n]:
                 entries[(m, n)] = row[n]
@@ -311,21 +298,6 @@ class MomentTable:
         for n, v in enumerate(self.values):
             yield (self.T, self.r, n, v)
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["T", "r", "n", "value"])
-            for row in self.rows():
-                w.writerow(row)
-
-    def to_json(self, path) -> None:
-        rows = [
-            {"T": T, "r": r, "n": n, "value": str(v)} for (T, r, n, v) in self.rows()
-        ]
-        with open(path, "w") as fh:
-            json.dump(rows, fh, sort_keys=True)
-            fh.write("\n")
-
 
 def moment_table(T: int, r: int, n_max: int) -> MomentTable:
     """m_T^r(n) for n <= n_max without materializing the full rank table.
@@ -342,26 +314,12 @@ def moment_table(T: int, r: int, n_max: int) -> MomentTable:
         raise ValueError("n_max must be >= 0")
     if r % 2 == 1:
         return MomentTable(T=T, r=r, values=(0,) * (n_max + 1))
-    weighted: dict[int, int] = {}
-    j = 1
-    sign = 1
-    while True:
-        base = j * (T * j - 1) // 2
-        if base > n_max:
-            break
-        m = 0 if r == 0 else 1
-        while True:
-            e = base + m * j
-            if e > n_max:
-                break
-            w = sign * (m**r if r else 1) * (2 if m > 0 else 1)
-            weighted[e] = weighted.get(e, 0) + w
-            if e + j <= n_max:
-                weighted[e + j] = weighted.get(e + j, 0) - w
-            m += 1
-        sign = -sign
-        j += 1
-    series = PowerSeries.from_terms(weighted, n_max) * partition_series(n_max)
+    weighted = [0] * (n_max + 1)
+    for m in range(0 if r == 0 else 1, n_max - (T - 1) // 2 + 1):
+        w = m**r * (2 if m > 0 else 1)
+        for e, sign in _theta_terms(T, m, n_max):
+            weighted[e] += sign * w
+    series = PowerSeries(weighted) * partition_series(n_max)
     return MomentTable(T=T, r=r, values=series.coeffs)
 
 

@@ -19,7 +19,6 @@ All quadratures are deterministic for fixed inputs and tolerance.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -116,33 +115,6 @@ def kappa_h_support(r: int) -> list[tuple[int, int, int]]:
             if c >= 0:
                 out.append((a, b, c))
     return out
-
-
-@dataclass(frozen=True)
-class ExpansionCoefficients:
-    """One family's coefficient table for fixed total order r."""
-
-    family: str  # "kappa" or "kappa_h"
-    r: int
-    entries: dict
-
-    @classmethod
-    def build(cls, family: str, r: int) -> "ExpansionCoefficients":
-        if family == "kappa":
-            support, fn = kappa_support(r), kappa
-        elif family == "kappa_h":
-            support, fn = kappa_h_support(r), kappa_h
-        else:
-            raise ValueError(f"unknown family {family!r}")
-        return cls(family=family, r=r, entries={abc: fn(*abc) for abc in support})
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["a", "b", "c", "num", "den", "pi_exp"])
-            for (a, b, c), v in sorted(self.entries.items()):
-                w.writerow([a, b, c, v.rational.numerator, v.rational.denominator,
-                            v.pi_exponent])
 
 
 # ---------------------------------------------------------------------------

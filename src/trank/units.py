@@ -12,7 +12,6 @@ only lossy step is the final conversion to `complex`.
 from __future__ import annotations
 
 import cmath
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -383,14 +382,3 @@ def kloosterman_partial(
         acc += u.to_complex()
         terms += 1
     return KloostermanValue(k=k, n=n, value=acc, terms=terms)
-
-
-def kloosterman_table_to_csv(path, ks, ns) -> None:
-    """Dump K_k(n) over a (k, n) grid as `k,n,re,im` rows."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "n", "re", "im"])
-        for k in ks:
-            for n in ns:
-                v = kloosterman_sum(k, n).value
-                w.writerow([k, n, f"{v.real:.17g}", f"{v.imag:.17g}"])

@@ -5,9 +5,8 @@ import pytest
 
 from trank.asymptotics import (
     AsymptoticQuery,
+    _realize,
     comparison_rows,
-    comparison_to_csv,
-    comparison_to_json,
     garvan_scan,
     moment_cusp_mordell,
     positivity_gate,
@@ -27,7 +26,10 @@ class TestQueryValidation:
             AsymptoticQuery(T=4, r=2, n=10)
         with pytest.raises(ValueError):
             AsymptoticQuery(T=5, r=3, n=10)
+        with pytest.raises(ValueError):
+            AsymptoticQuery(T=5, r=2, n=10, k_cap=0)
         assert AsymptoticQuery(T=5, r=2, n=170).cap == 13
+        assert AsymptoticQuery(T=5, r=2, n=170, k_cap=1).cap == 1
 
 
 class TestPositivityGate:
@@ -72,6 +74,21 @@ class TestTheoremA:
         b = theorem_a_main(AsymptoticQuery(T=1, r=2, n=1000))
         k1 = sum(v.real for key, v in b.mu_contributions.items() if key[0] == 1)
         assert k1 / b.mu_part > 0.99
+
+    def test_cancelled_mordell_part_T5_r4(self):
+        # the Mordell part cancels far below its terms here; its imaginary
+        # residue is judged against sum |term|, not against the cancelled sum
+        b = theorem_a_main(AsymptoticQuery(T=5, r=4, n=200))
+        assert abs(b.total - moment_table(5, 4, 200)[200]) / b.total < 1e-10
+
+    def test_realize_scale(self):
+        # two terms cancel to 1e-10; the residue is 1e-9 of sum |term|
+        terms = {0: 1.0, 1: -1.0 + 1e-10, 2: 2e-9j}
+        value = sum(terms.values())
+        assert _realize(value, terms, "cancelled") == value.real
+        terms[2] = 2e-6j  # 1e-6 of sum |term|
+        with pytest.raises(ArithmeticError):
+            _realize(sum(terms.values()), terms, "residue")
 
     def test_mordell_improves_T5(self):
         table = moment_table(5, 2, 150)
@@ -195,14 +212,7 @@ class TestGarvanScan:
 
 
 class TestComparisonTables:
-    def test_rows_and_writers(self, tmp_path):
-        rows = comparison_rows(3, 2, [50, 100])
+    def test_rows_and_writers(self):
+        rows = comparison_rows(3, 2, [100, 50])
         assert [row.n for row in rows] == [50, 100]
         assert rows[1].rel_err_a < rows[1].rel_err_b
-        csv_path = tmp_path / "cmp.csv"
-        comparison_to_csv(rows, csv_path)
-        header = csv_path.read_text().splitlines()[0]
-        assert header == "T,r,n,exact,thmA_main,thmB_leading,rel_err_A,rel_err_B"
-        json_path = tmp_path / "cmp.json"
-        comparison_to_json(rows, json_path)
-        assert '"exact"' in json_path.read_text()

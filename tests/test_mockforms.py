@@ -258,14 +258,6 @@ class TestVerifySuites:
         b = verify_transformation("eta", trials=6, tolerance=1e-8, seed=11)
         assert a.as_dict() == b.as_dict()
 
-    def test_report_json(self, tmp_path):
-        report = verify_transformation("theta_elliptic", trials=5,
-                                       tolerance=1e-12, seed=2)
-        path = tmp_path / "rep.json"
-        report.to_json(path)
-        text = path.read_text()
-        assert '"case"' in text and '"max_rel_err"' in text
-
     def test_threaded_matches_serial(self):
         serial = verify_transformation("R_props", trials=6, tolerance=1e-8, seed=5)
         pooled = verify_transformation("R_props", trials=6, tolerance=1e-8,

@@ -146,14 +146,6 @@ class TestMomentTable:
             t = moment_table(T, r, 80)
             assert all(v >= 0 for v in t.values)
 
-    def test_csv_roundtrip(self, tmp_path):
-        t = moment_table(3, 2, 10)
-        path = tmp_path / "m.csv"
-        t.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "T,r,n,value"
-        assert lines[5] == "3,2,4,%d" % t[4]
-
 
 class TestMomentGeneratingEval:
     def test_at_zero(self):

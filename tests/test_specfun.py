@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from trank.specfun import (
-    ExpansionCoefficients,
     IntegralParams,
     bernoulli_half,
     bernoulli_number,
@@ -140,14 +139,6 @@ class TestCoefficientFamilies:
             lam = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.2, 0.2))
             assert taylor_identity_check("kappa", nu, z, 0.0, 8) < 1e-9
             assert taylor_identity_check("kappa_h", nu, z, lam, 8) < 1e-9
-
-    def test_table_csv(self, tmp_path):
-        table = ExpansionCoefficients.build("kappa", 4)
-        path = tmp_path / "kappa.csv"
-        table.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "a,b,c,num,den,pi_exp"
-        assert len(lines) == 1 + len(kappa_support(4))
 
 
 class TestGaussError:

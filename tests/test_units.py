@@ -281,15 +281,6 @@ class TestKloosterman:
                                   * u_h_star(T, t, l, h, k).to_complex())
                     assert abs(got - expect) < 1e-14
 
-    def test_table_csv_dump(self, tmp_path):
-        from trank.units import kloosterman_table_to_csv
-
-        path = tmp_path / "kl.csv"
-        kloosterman_table_to_csv(path, ks=(1, 2, 3), ns=(0, 5))
-        lines = path.read_text().splitlines()
-        assert lines[0] == "k,n,re,im"
-        assert lines[1] == "1,0,1,0" and len(lines) == 7
-
     def test_partial_bounded_by_class_size(self):
         # each summand is a unit times at worst the |2 sin| scale of the
         # rho = 0 branch, so 2x the class size bounds the sum
