@@ -33,7 +33,7 @@ from .specfun import (
     IntegralParams,
     bernoulli_half,
     bessel_i,
-    bessel_integral,
+    bessel_integrals,
     kappa,
     kappa_h,
     kappa_h_support,
@@ -45,7 +45,7 @@ from .units import (
     alpha_shift,
     chi_multiplier,
     inverse_mod,
-    kloosterman_partial,
+    kloosterman_partials,
     kloosterman_sum,
     rho_residue,
     u_h_star,
@@ -143,9 +143,18 @@ def _realize(value: complex, terms: dict, what: str) -> float:
 def theorem_a_main(query: AsymptoticQuery) -> TermBreakdown:
     """The full main term of the moment asymptotic formula.
 
-    The Mordell part is identically zero for T in {1, 3}: there either no
-    t != 0 exists or every admissible (gamma, varrho) class has a
-    nonpositive gate, so no Bessel integral is ever evaluated.
+    The Mordell part is identically zero for T in {1, 3}.  T = 1 has no
+    t != 0.  For T = 3 the gamma = 3 classes have a nonpositive gate, and
+    for gamma = 1 the class varrho = 0 has gate exactly 0, while the
+    classes varrho = +-1 pass the gate but are always empty: gamma = 1
+    makes gamma_co = T, so rho_T(t gamma_co h) = 0 for every h.  No Bessel
+    integral is evaluated.
+
+    The Mordell part is assembled in three passes: the partial Kloosterman
+    sums of each (gamma, k, t) from one pass over h, bucketed by varrho;
+    the Bessel integrals of each (k, varrho, c, d) group over all of its
+    alpha at once; then the terms, summed in (gamma, k, t, varrho, l,
+    a, b, c) order.
     """
     T, r, n = query.T, query.r, query.n
     out = TermBreakdown(query=query)
@@ -165,46 +174,58 @@ def theorem_a_main(query: AsymptoticQuery) -> TermBreakdown:
             out.mu_contributions[(k, a, b, c)] = term
     out.mu_part = _realize(mu_acc, out.mu_contributions, "mu part")
 
-    h_acc = 0j
     abc = kappa_h_support(r)
-    integral_cache: dict = {}
     half = (T - 1) // 2
+    rows = []  # (gamma, t, varrho, k, l, alpha, partial sum), in summation order
+    alphas: dict = {}  # (k, varrho) -> the alphas of that group, one per (t, l)
+    betas: dict = {}  # gamma -> {varrho: gate}
     for gamma in (d for d in range(1, T + 1) if T % d == 0):
-        betas = {rho: positivity_gate(T, gamma, rho) for rho in range(-half, half + 1)}
+        betas[gamma] = {rho: positivity_gate(T, gamma, rho) for rho in range(-half, half + 1)}
+        gated = [rho for rho, beta in betas[gamma].items() if beta > 0]
         for k in range(1, query.cap + 1):
             if gcd(T, k) != gamma:
                 continue
             for t in range(-half, half + 1):
                 if t == 0:
                     continue
-                for rho, beta in betas.items():
-                    if beta <= 0:
-                        out.dropped_terms += (k // gamma) * len(abc)
-                        continue
-                    for l in range(k // gamma):
-                        kv = kloosterman_partial(T, t, rho, l, k, n)
+                out.dropped_terms += (T - len(gated)) * (k // gamma) * len(abc)
+                if not gated:
+                    continue
+                partials = kloosterman_partials(T, t, k, n, gated)
+                for rho in gated:
+                    for l, kv in enumerate(partials[rho]):
                         if kv.is_empty:
                             continue
                         alpha = alpha_shift(T, t, l, k // gamma)
-                        for (a, b, c) in abc:
-                            d = Fraction(-1, 2) - a - c
-                            key = (alpha, beta, rho, c, d, k)
-                            if key not in integral_cache:
-                                integral_cache[key] = bessel_integral(IntegralParams(
-                                    T=T, alpha=alpha, beta=beta,
-                                    delta=Fraction(-1, 12),
-                                    varrho=Fraction(rho, T),
-                                    c=c, d=d, k=k, n=n,
-                                ))
-                            term = (2.0 * math.pi * kv.value / k
-                                    * kappa_h(a, b, c).to_float()
-                                    * float(k * T) ** (a - 0.5)
-                                    * gamma ** (c + 0.5)
-                                    * (2.0 * n - 1.0 / 12.0) ** ((a + c) / 2.0 - 0.25)
-                                    * float(beta) ** (0.75 - (a + c) / 2.0)
-                                    * integral_cache[key])
-                            h_acc += term
-                            out.mordell_contributions[(gamma, t, rho, k, l, a, b, c)] = term
+                        rows.append((gamma, t, rho, k, l, alpha, kv.value))
+                        alphas.setdefault((k, rho), []).append(alpha)
+
+    integrals = {}
+    for (k, rho), group in alphas.items():
+        beta = betas[gcd(T, k)][rho]
+        for c, d in dict.fromkeys((c, Fraction(-1, 2) - a - c) for (a, _, c) in abc):
+            values = bessel_integrals(IntegralParams(
+                T=T, alpha=group[0], beta=beta, delta=Fraction(-1, 12),
+                varrho=Fraction(rho, T), c=c, d=d, k=k, n=n,
+            ), group)
+            integrals.update(((k, rho, c, d, alpha), value)
+                             for alpha, value in zip(group, values))
+
+    weights = {key: kappa_h(*key).to_float() for key in abc}
+    h_acc = 0j
+    for gamma, t, rho, k, l, alpha, kv in rows:
+        beta = betas[gamma][rho]
+        for (a, b, c) in abc:
+            d = Fraction(-1, 2) - a - c
+            term = (2.0 * math.pi * kv / k
+                    * weights[(a, b, c)]
+                    * float(k * T) ** (a - 0.5)
+                    * gamma ** (c + 0.5)
+                    * (2.0 * n - 1.0 / 12.0) ** ((a + c) / 2.0 - 0.25)
+                    * float(beta) ** (0.75 - (a + c) / 2.0)
+                    * integrals[(k, rho, c, d, alpha)])
+            h_acc += term
+            out.mordell_contributions[(gamma, t, rho, k, l, a, b, c)] = term
     out.mordell_part = (_realize(h_acc, out.mordell_contributions, "mordell part")
                         if out.mordell_contributions else 0.0)
     if T <= 3:

@@ -258,8 +258,16 @@ def run(config: RunConfig) -> int:
         return 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors end like `run()`'s: one `error:` line
+    on stderr and exit status 2, with no usage block."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="trank",
         description="Exact T-rank moment tables and their circle-method "
                     "main-term asymptotics.")

@@ -428,6 +428,13 @@ class IntegralParams:
         return -self.d - 1
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre() -> tuple:
+    """The 24-point Gauss-Legendre nodes and weights on [-1, 1], built on
+    first use so that importing the package does not load numpy.polynomial."""
+    return np.polynomial.legendre.leggauss(24)
+
+
 def bessel_integral(params: IntegralParams, tol: float = 1e-9) -> complex:
     """The [-1, 1] integral of the asymptotic formula's Mordell part.
 
@@ -441,6 +448,18 @@ def bessel_integral(params: IntegralParams, tol: float = 1e-9) -> complex:
     essentially zero (odd symmetry), agreement at the roundoff floor of
     the node-sum magnitude counts as converged.
     """
+    return bessel_integrals(params, [params.alpha], tol)[0]
+
+
+def bessel_integrals(params: IntegralParams, alphas, tol: float = 1e-9) -> list[complex]:
+    """`bessel_integral` at each alpha in `alphas`, the rest of `params` fixed
+    (`params.alpha` itself is not used).
+
+    Only the factor e^(2 pi lam alpha x) depends on alpha, so each panel's
+    nodes and alpha-free factors, the Bessel values among them, are
+    evaluated once per panel count and shared; each alpha keeps its own
+    doubling loop, and every value is bit-identical to a one-alpha call.
+    """
     lam = params.lam
     rho = float(params.varrho)
     c = params.c
@@ -449,38 +468,45 @@ def bessel_integral(params: IntegralParams, tol: float = 1e-9) -> complex:
     arg_scale = 2.0 * math.pi * math.sqrt(float(params.beta) * float(2 * params.n + params.delta)) / params.k
     if arg_scale > 700.0:
         raise ValueError("Bessel argument overflows double range")
-    alpha = float(params.alpha)
+    nodes, weights = _gauss_legendre()
+    grids: dict[int, list] = {}
 
-    def integrand(x):
-        one_minus = 1.0 - x * x
-        y = arg_scale * np.sqrt(one_minus)
-        base = (lam * x) ** c if c else 1.0
-        return (
-            base
-            * np.exp(2.0 * math.pi * lam * alpha * x)
-            * one_minus**half_exp
-            * bessel_i(order, y)
-            / np.cosh(math.pi * (lam * x + 1j * rho))
-        )
+    def grid(panels):
+        """(rad, x, then the alpha-free factors in integrand order) per panel."""
+        if panels not in grids:
+            rows = []
+            edges = np.linspace(-1.0, 1.0, panels + 1)
+            for a, b in zip(edges[:-1], edges[1:]):
+                mid, rad = (a + b) / 2.0, (b - a) / 2.0
+                x = mid + rad * nodes
+                one_minus = 1.0 - x * x
+                y = arg_scale * np.sqrt(one_minus)
+                rows.append((rad, x, (lam * x) ** c if c else 1.0, one_minus**half_exp,
+                             bessel_i(order, y), np.cosh(math.pi * (lam * x + 1j * rho))))
+            grids[panels] = rows
+        return grids[panels]
 
-    nodes, weights = np.polynomial.legendre.leggauss(24)
-    prev = None
-    panels = 2
-    for _ in range(9):
-        total = 0j
-        magnitude = 0.0
-        edges = np.linspace(-1.0, 1.0, panels + 1)
-        for a, b in zip(edges[:-1], edges[1:]):
-            mid, rad = (a + b) / 2.0, (b - a) / 2.0
-            vals = weights * integrand(mid + rad * nodes)
-            total += rad * np.sum(vals)
-            magnitude += rad * float(np.sum(np.abs(vals)))
-        floor = 1e-14 * magnitude
-        if prev is not None and abs(total - prev) <= max(tol * abs(total), floor):
-            return complex(total)
-        prev = total
-        panels *= 2
-    raise ConvergenceError("panel doubling did not converge for bessel_integral")
+    out = []
+    for alpha in alphas:
+        slope = 2.0 * math.pi * lam * float(alpha)
+        prev = None
+        panels = 2
+        for _ in range(9):
+            total = 0j
+            magnitude = 0.0
+            for rad, x, base, power, bessel, cosh in grid(panels):
+                vals = weights * (base * np.exp(slope * x) * power * bessel / cosh)
+                total += rad * vals.sum()
+                magnitude += rad * float(np.abs(vals).sum())
+            floor = 1e-14 * magnitude
+            if prev is not None and abs(total - prev) <= max(tol * abs(total), floor):
+                out.append(complex(total))
+                break
+            prev = total
+            panels *= 2
+        else:
+            raise ConvergenceError("panel doubling did not converge for bessel_integral")
+    return out
 
 
 def taylor_identity_check(family: str, nu: complex, z: complex, lam: complex,

@@ -6,7 +6,10 @@ with mixed denominators (4, 12, k, T, ...).  Accumulating those phases in
 floating point destroys the cancellation that Kloosterman sums live on, so
 every multiplier here is an `ExactUnit`: a nonnegative real scale times
 e^(i pi angle) with the angle kept as an exact `Fraction` modulo 2.  The
-only lossy step is the final conversion to `complex`.
+partial Kloosterman sums of the Mordell part take the l-dependent part
+of each phase as an exact integer numerator over one common denominator
+instead (`partial_phases`), equal as a rational to the `Fraction` angle.
+The only lossy step is the final conversion to `complex`.
 """
 
 from __future__ import annotations
@@ -353,6 +356,15 @@ def kloosterman_sum(k: int, n: int) -> KloostermanValue:
     )
 
 
+def _check_partial(T: int, t: int, k: int, rhos) -> None:
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if t == 0 or abs(t) > (T - 1) // 2:
+        raise ValueError("t must be nonzero with |t| <= (T-1)/2")
+    if any(abs(rho) > (T - 1) // 2 for rho in rhos):
+        raise ValueError("|varrho| must be at most (T-1)/2")
+
+
 def kloosterman_partial(
     T: int, t: int, varrho: int, l: int, k: int, n: int
 ) -> KloostermanValue:
@@ -361,12 +373,7 @@ def kloosterman_partial(
     An empty residue class gives the zero value (an empty sum, not an
     error).  The summation index sigma of the written sum is bound to t.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if t == 0 or abs(t) > (T - 1) // 2:
-        raise ValueError("t must be nonzero with |t| <= (T-1)/2")
-    if abs(varrho) > (T - 1) // 2:
-        raise ValueError("|varrho| must be at most (T-1)/2")
+    _check_partial(T, t, k, [varrho])
     g = gcd(T, k)
     if not 0 <= l <= k // g - 1:
         raise ValueError(f"l={l} outside 0..{k // g - 1}")
@@ -382,3 +389,70 @@ def kloosterman_partial(
         acc += u.to_complex()
         terms += 1
     return KloostermanValue(k=k, n=n, value=acc, terms=terms)
+
+
+def partial_phases(T: int, t: int, h: int, k: int, n: int) -> tuple[float, list[int], int]:
+    """The units e(-2nh/k) u_h_star(T, t, l, h, k) for l = 0..k/(T,k) - 1.
+
+    Returns (scale, numerators, den): unit l is scale * e^(i pi N_l / den)
+    with integers 0 <= N_l < 2 den, and N_l / den is exactly the unit's
+    `Fraction` angle.  The l-free factors (e(-2nh/k), i^(3/2), u_theta_star,
+    chi^-1 and the two 1/(12k) phases) are multiplied once as `Fraction`s.
+    The (rho/T) alpha phase of u_h cancels u_h_star's alpha_shift factor
+    exactly, and the rest of u_h's angle is num/D with D = 4TK,
+    K = k/(T,k), H = gamma_co h and w = 2l - K + 1:
+
+        num = -(HK+1)TK + 4TK (e mod 2) - T H w^2 - 2w (TK - 2tH),
+        e = lH + (K-1)(H-1)//2 + tH - rho + 1.
+    """
+    g = gcd(T, k)
+    gco = T // g
+    kg = k // g
+    inv = mod_inverse_pair(h, k)[0]
+    base = (ExactUnit(Fraction(-2 * n * h, k)) * I_POW_3_2 * u_theta_star(T, t, h, k)
+            * chi_multiplier(h, k).inverse() * ExactUnit(Fraction(h - inv, 12 * k)))
+    p, q = base.angle.numerator, base.angle.denominator
+    H = gco * h
+    rho = rho_residue(T, t * H)
+    D = 4 * T * kg
+    den = q * D
+    e0 = (kg - 1) * (H - 1) // 2 + t * H - rho + 1
+    const = p * D - (H * kg + 1) * T * kg * q
+    nums = []
+    for l in range(kg):
+        w = 2 * l - kg + 1
+        num = 4 * T * kg * ((l * H + e0) % 2) - T * H * w * w - 2 * w * (T * kg - 2 * t * H)
+        nums.append((const + num * q) % (2 * den))
+    return base.scale, nums, den
+
+
+def kloosterman_partials(
+    T: int, t: int, k: int, n: int, rhos
+) -> dict[int, list[KloostermanValue]]:
+    """`kloosterman_partial(T, t, rho, l, k, n)` for every rho in `rhos` and
+    every l, from one pass over h.
+
+    Each h joins the bucket of its rho_T(t gamma_co h); a bucket's sums
+    over l are accumulated in ascending h, as `kloosterman_partial` does,
+    so every value is bit-identical to it.  An empty bucket gives K zero
+    values with `terms == 0`.
+    """
+    members: dict[int, list[int]] = {rho: [] for rho in rhos}
+    _check_partial(T, t, k, members)
+    g = gcd(T, k)
+    gco = T // g
+    for h in range(k):
+        if gcd(h, k) != 1:
+            continue
+        bucket = members.get(rho_residue(T, t * gco * h))
+        if bucket is not None:
+            bucket.append(h)
+    out = {}
+    for rho, hs in members.items():
+        acc = [0j] * (k // g)
+        for h in hs:
+            scale, nums, den = partial_phases(T, t, h, k, n)
+            for l, num in enumerate(nums):
+                acc[l] += scale * cmath.exp(1j * math.pi * (num / den))
+        out[rho] = [KloostermanValue(k=k, n=n, value=v, terms=len(hs)) for v in acc]
+    return out

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -128,6 +130,25 @@ class TestTheoremA:
         assert abs(full.mu_part - shorter.mu_part) < 100 * envelope
         tail = sum(v for key, v in full.mu_contributions.items() if key[0] == cap)
         assert 0 < abs(tail) < 100 * envelope
+
+
+# SHA-256 of json.dumps(theorem_a_main(query).as_dict(), sort_keys=True),
+# recorded before the Mordell-part assembly was rewritten: every field,
+# each contribution included, must stay bit-identical.  T = 3 is the case
+# where every bucket of the Mordell part is empty.
+BREAKDOWN_SHA256 = {
+    (5, 4, 200): "76fe95281039a2a09760368cb6b9e0a09db636ea0fe9d127d10ee53baae76c24",
+    (13, 2, 90): "0dcb27ef07eeb91b2d003c48725aef386e5cd3e68f72c3338ad0dbb61ca85598",
+    (23, 6, 40): "edd046a3d183a9cc437aa6d343d37132ea5d64bb6d2a9f6f3339c9a02712ff0a",
+    (3, 2, 300): "0f60c194bc1fcee15199a239e266daf96cd6a692b385dc758534eb91ae013bce",
+}
+
+
+@pytest.mark.parametrize("T,r,n", sorted(BREAKDOWN_SHA256))
+def test_breakdown_bytes(T, r, n):
+    d = theorem_a_main(AsymptoticQuery(T=T, r=r, n=n)).as_dict()
+    digest = hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()
+    assert digest == BREAKDOWN_SHA256[(T, r, n)]
 
 
 class TestTheoremB:

@@ -2,8 +2,9 @@
 
 Each hash was recorded from the command's output before the library's
 own file writers were removed, so the CLI stays the one writer of
-unchanged bytes.  A second group checks that invalid input ends with
-exit status 2 and a single `error:` line on stderr, never a traceback.
+unchanged bytes.  A second group checks that invalid input, whether the
+argument parser or the library rejects it, ends with exit status 2 and a
+single `error:` line on stderr, never a usage block or a traceback.
 """
 
 import hashlib
@@ -48,6 +49,10 @@ INVALID = [
     "scan --T 5 --r 2 --n 0..10",
     "scan --T 1 --r 2",
     "spt-check --n-max 0",
+    # rejected by the argument parser: a missing required option, an
+    # option the command does not have
+    "moments --T 3 --r 2",
+    "moments --T 3 --r 2 --n-max 5 --threads 2",
 ]
 
 
@@ -77,3 +82,8 @@ def test_invalid_input_exits_2(argv, capsys):
 def test_threads_only_on_verify(command, capsys):
     assert main(command.split() + ["--threads", "2"]) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    assert main(["moments", "--help"]) == 0
+    assert "--n-max" in capsys.readouterr().out

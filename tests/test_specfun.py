@@ -1,5 +1,8 @@
+import dataclasses
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -13,6 +16,7 @@ from trank.specfun import (
     bessel_i,
     bessel_i_series,
     bessel_integral,
+    bessel_integrals,
     gauss_error,
     kappa,
     kappa_h,
@@ -272,6 +276,35 @@ class TestBesselIntegral:
         c_fit = abs(bessel_integral(p100)) / envelope(100)
         for n in (400, 1600):
             assert abs(bessel_integral(_params(n=n))) <= 4.0 * c_fit * envelope(n)
+
+    def test_shared_grid_matches_one_alpha_calls(self, monkeypatch):
+        # a group's values do not depend on the other alphas in it, nor on
+        # their order; here the outer alphas converge at 4 panels and the
+        # inner ones at 8, and the group evaluates each panel's Bessel
+        # factor once: 2 + 4 + 8 calls
+        p = _params(T=7, beta=Fraction(1, 12) - Fraction(1, 4 * 343), varrho=Fraction(3, 7),
+                    c=1, d=Fraction(-7, 2), k=1, n=40)
+        alphas = [Fraction(s, 20) for s in range(-9, 10, 3)]
+        alone = [bessel_integral(dataclasses.replace(p, alpha=a)) for a in alphas]
+        assert bessel_integrals(p, alphas[::-1]) == alone[::-1]
+        calls = []
+        original = bessel_i
+
+        def counting(order, y):
+            calls.append(len(y))
+            return original(order, y)
+
+        monkeypatch.setattr("trank.specfun.bessel_i", counting)
+        assert bessel_integrals(p, alphas) == alone
+        assert len(calls) == 2 + 4 + 8
+        assert bessel_integrals(p, []) == []
+
+    def test_import_leaves_numpy_polynomial_unloaded(self):
+        # the Gauss-Legendre nodes are built on first use, not at import
+        code = "import sys, trank; print('numpy.polynomial' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "False"
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -13,9 +13,11 @@ from trank.units import (
     inverse_mod,
     jacobi_symbol,
     kloosterman_partial,
+    kloosterman_partials,
     kloosterman_sum,
     _kloosterman_units,
     mod_inverse_pair,
+    partial_phases,
     rho_residue,
     TransformContext,
     u_h,
@@ -294,3 +296,51 @@ class TestKloosterman:
             l = rng.randrange(0, k // gcd(T, k))
             val = kloosterman_partial(T, t, rho, l, k, rng.randrange(0, 50))
             assert abs(val.value) <= 2 * val.terms + 1e-9
+
+
+class TestIntegerPhases:
+    @pytest.mark.parametrize("T", range(3, 24, 2))
+    def test_phase_is_the_exact_angle(self, T):
+        # k <= 12, every coprime h, t != 0 and l, and a few n: the integer
+        # numerator over its denominator is the Fraction angle
+        half = (T - 1) // 2
+        for k in range(1, 13):
+            kg = k // gcd(T, k)
+            for t in (x for x in range(-half, half + 1) if x):
+                for h in (h for h in range(k) if gcd(h, k) == 1):
+                    stars = [u_h_star(T, t, l, h, k) for l in range(kg)]
+                    for n in (0, 1, 7, 200):
+                        scale, nums, den = partial_phases(T, t, h, k, n)
+                        assert len(nums) == kg
+                        for num, star in zip(nums, stars):
+                            unit = ExactUnit(Fraction(-2 * n * h, k)) * star
+                            assert 0 <= num < 2 * den
+                            assert Fraction(num, den) == unit.angle
+                            assert scale == unit.scale
+
+    def test_buckets_equal_partial_sums(self):
+        # one pass over h gives kloosterman_partial bit for bit, for every
+        # rho, empty buckets included
+        for T in (3, 5, 9, 15, 21):
+            half = (T - 1) // 2
+            for k in range(1, 13):
+                kg = k // gcd(T, k)
+                n = 3 * k + T
+                for t in (x for x in range(-half, half + 1) if x):
+                    buckets = kloosterman_partials(T, t, k, n, range(-half, half + 1))
+                    assert list(buckets) == list(range(-half, half + 1))
+                    for rho, values in buckets.items():
+                        assert len(values) == kg
+                        for l, value in enumerate(values):
+                            assert value == kloosterman_partial(T, t, rho, l, k, n)
+
+    def test_buckets_only_for_requested_rho(self):
+        # T = 7, k = 14: gamma_co = 1, so h lands in the bucket of rho_7(2h)
+        buckets = kloosterman_partials(7, 2, 14, 5, [3, -1])
+        assert list(buckets) == [3, -1]
+        assert [v.terms for v in buckets[3]] == [1, 1]  # h = 5
+        assert [v.terms for v in buckets[-1]] == [1, 1]  # h = 3
+        with pytest.raises(ValueError):
+            kloosterman_partials(7, 2, 14, 5, [4])
+        with pytest.raises(ValueError):
+            kloosterman_partials(7, 0, 14, 5, [0])
