@@ -72,7 +72,6 @@ from .specfun import (
 from .units import (
     ExactUnit,
     KloostermanValue,
-    TransformContext,
     alpha_shift,
     chi_multiplier,
     jacobi_symbol,
@@ -80,7 +79,6 @@ from .units import (
     kloosterman_sum,
     mod_inverse_pair,
     rho_residue,
-    unit_factors,
 )
 
 __all__ = [
@@ -96,7 +94,6 @@ __all__ = [
     "RankCountTable",
     "ScanReport",
     "TermBreakdown",
-    "TransformContext",
     "TruncationError",
     "VERIFICATION_CASES",
     "VerificationReport",
@@ -136,7 +133,6 @@ __all__ = [
     "theorem_b_difference_leading",
     "theorem_b_leading",
     "theta",
-    "unit_factors",
     "verify_transformation",
     "zwegers_a",
     "zwegers_a_t",

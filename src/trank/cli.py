@@ -17,7 +17,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 
 from . import asymptotics, mockforms, qseries
 
@@ -25,52 +24,6 @@ _DEFAULT_TOLS = {case: 1e-8 for case in mockforms.VERIFICATION_CASES}
 _DEFAULT_TOLS["prop_4_2"] = 1e-7
 
 OUTPUT_DIR_ENV = "TRANK_OUT_DIR"
-
-
-@dataclass
-class RunConfig:
-    command: str
-    T: int | None = None
-    r: int | None = None
-    ns: list = field(default_factory=list)
-    n_max: int | None = None
-    case: str | None = None
-    trials: int = 20
-    seed: int = 0
-    tol_scale: float = 1.0
-    threads: int = 1
-    k_cap: int | None = None
-    out: str | None = None
-    fmt: str = "csv"
-
-    def validate(self) -> None:
-        """Checks the library does not make itself; the library rejects a bad
-        T, r or n before doing any work, and `run` reports both alike."""
-        if self.command not in ("moments", "asymptotic", "compare", "verify",
-                                "scan", "spt-check"):
-            raise ValueError(f"unknown command {self.command!r}")
-        if self.command in ("moments", "asymptotic", "compare", "scan") \
-                and (self.T is None or self.r is None):
-            raise ValueError("these commands need --T and --r")
-        if self.command in ("asymptotic", "compare") and not self.ns:
-            raise ValueError("provide --n (comma list or lo..hi[:step])")
-        if self.command == "moments" and self.n_max is None:
-            raise ValueError("moments needs --n-max")
-        if self.command == "spt-check" and self.n_max is not None and self.n_max < 1:
-            raise ValueError("spt-check needs --n-max >= 1")
-        if self.command == "verify" and self.case is not None \
-                and self.case not in mockforms.VERIFICATION_CASES:
-            raise ValueError(
-                f"unknown case {self.case!r}; choose from "
-                f"{', '.join(mockforms.VERIFICATION_CASES)}")
-        if self.trials < 1:
-            raise ValueError("--trials must be >= 1")
-        if self.threads < 1:
-            raise ValueError("--threads must be >= 1")
-        if self.tol_scale <= 0:
-            raise ValueError("--tol-scale must be positive")
-        if self.fmt not in ("csv", "json"):
-            raise ValueError("--format must be csv or json")
 
 
 def parse_n_values(text: str) -> list[int]:
@@ -93,9 +46,25 @@ def parse_n_values(text: str) -> list[int]:
     return values
 
 
-def _resolve_out(config: RunConfig, default_name: str) -> str | None:
-    if config.out:
-        return config.out
+def positive_int(text: str) -> int:
+    """An argparse type: an int >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def positive_float(text: str) -> float:
+    """An argparse type: a float > 0 (NaN is rejected)."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
+def _resolve_out(args: argparse.Namespace, default_name: str) -> str | None:
+    if args.out:
+        return args.out
     env_dir = os.environ.get(OUTPUT_DIR_ENV)
     if env_dir:
         return os.path.join(env_dir, default_name)
@@ -123,47 +92,47 @@ def _json_text(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=1) + "\n"
 
 
-def _run_moments(config: RunConfig) -> int:
-    table = qseries.moment_table(config.T, config.r, config.n_max)
-    if config.fmt == "csv":
+def _run_moments(args: argparse.Namespace) -> int:
+    table = qseries.moment_table(args.T, args.r, args.n_max)
+    if args.fmt == "csv":
         text = _csv_text(["T", "r", "n", "value"], list(table.rows()))
     else:
         text = _json_text([
             {"T": T, "r": r, "n": n, "value": str(v)} for T, r, n, v in table.rows()
         ])
-    _emit(text, _resolve_out(config, f"moments_T{config.T}_r{config.r}.{config.fmt}"))
+    _emit(text, _resolve_out(args, f"moments_T{args.T}_r{args.r}.{args.fmt}"))
     return 0
 
 
-def _run_asymptotic(config: RunConfig) -> int:
-    queries = [asymptotics.AsymptoticQuery(T=config.T, r=config.r, n=n, k_cap=config.k_cap)
-               for n in config.ns]
+def _run_asymptotic(args: argparse.Namespace) -> int:
+    queries = [asymptotics.AsymptoticQuery(T=args.T, r=args.r, n=n, k_cap=args.k_cap)
+               for n in args.n]
     rows = []
     payload = []
     for query in queries:
         breakdown = asymptotics.theorem_a_main(query)
-        leading = asymptotics.theorem_b_leading(config.T, config.r, query.n)
-        rows.append([config.T, config.r, query.n, f"{breakdown.mu_part:.17g}",
+        leading = asymptotics.theorem_b_leading(args.T, args.r, query.n)
+        rows.append([args.T, args.r, query.n, f"{breakdown.mu_part:.17g}",
                      f"{breakdown.mordell_part:.17g}", f"{breakdown.total:.17g}",
                      f"{leading:.17g}"])
         entry = breakdown.as_dict()
         entry["thmB_leading"] = leading
         payload.append(entry)
         print(f"n={query.n} done", file=sys.stderr)
-    if config.fmt == "csv":
+    if args.fmt == "csv":
         text = _csv_text(
             ["T", "r", "n", "thmA_mu", "thmA_mordell", "thmA_total", "thmB_leading"],
             rows)
     else:
         text = _json_text(payload)
-    _emit(text, _resolve_out(config, f"asymptotic_T{config.T}_r{config.r}.{config.fmt}"))
+    _emit(text, _resolve_out(args, f"asymptotic_T{args.T}_r{args.r}.{args.fmt}"))
     return 0
 
 
-def _run_compare(config: RunConfig) -> int:
-    rows = asymptotics.comparison_rows(config.T, config.r, config.ns)
-    out = _resolve_out(config, f"compare_T{config.T}_r{config.r}.{config.fmt}")
-    if config.fmt == "csv":
+def _run_compare(args: argparse.Namespace) -> int:
+    rows = asymptotics.comparison_rows(args.T, args.r, args.n)
+    out = _resolve_out(args, f"compare_T{args.T}_r{args.r}.{args.fmt}")
+    if args.fmt == "csv":
         text = _csv_text(
             ["T", "r", "n", "exact", "thmA_main", "thmB_leading",
              "rel_err_A", "rel_err_B"],
@@ -180,57 +149,55 @@ def _run_compare(config: RunConfig) -> int:
     return 0
 
 
-def _run_verify(config: RunConfig) -> int:
-    cases = [config.case] if config.case else list(mockforms.VERIFICATION_CASES)
+def _run_verify(args: argparse.Namespace) -> int:
+    cases = [args.case] if args.case else list(mockforms.VERIFICATION_CASES)
     reports = []
     failed = False
     for case in cases:
-        tol = _DEFAULT_TOLS[case] * config.tol_scale
+        tol = _DEFAULT_TOLS[case] * args.tol_scale
         report = mockforms.verify_transformation(
-            case, trials=config.trials, tolerance=tol, seed=config.seed,
-            threads=config.threads)
+            case, trials=args.trials, tolerance=tol, seed=args.seed,
+            threads=args.threads)
         reports.append(report.as_dict())
         failed = failed or not report.passed
         print(f"{case}: max_rel_err={report.max_rel_err:.3e} "
               f"{'ok' if report.passed else 'FAILED'}", file=sys.stderr)
-    text = _json_text(reports if config.case is None else reports[0])
-    _emit(text, _resolve_out(config, "verify_report.json"))
+    text = _json_text(reports if args.case is None else reports[0])
+    _emit(text, _resolve_out(args, "verify_report.json"))
     return 1 if failed else 0
 
 
-def _run_scan(config: RunConfig) -> int:
-    n_lo = min(config.ns) if config.ns else 1
-    n_hi = max(config.ns) if config.ns else 1500
-    report = asymptotics.garvan_scan(config.T, config.r, n_lo, n_hi)
-    text = _json_text(report.as_dict()) if config.fmt == "json" else _csv_text(
+def _run_scan(args: argparse.Namespace) -> int:
+    n_lo, n_hi = min(args.n), max(args.n)
+    report = asymptotics.garvan_scan(args.T, args.r, n_lo, n_hi)
+    text = _json_text(report.as_dict()) if args.fmt == "json" else _csv_text(
         ["T", "r", "n_lo", "n_hi", "n0", "violations"],
         [[report.T, report.r, report.n_lo, report.n_hi, report.n0,
           ";".join(map(str, report.violations))]])
-    _emit(text, _resolve_out(config, f"scan_T{config.T}_r{config.r}.{config.fmt}"))
-    print(f"scan T={config.T} r={config.r}: n0={report.n0} "
+    _emit(text, _resolve_out(args, f"scan_T{args.T}_r{args.r}.{args.fmt}"))
+    print(f"scan T={args.T} r={args.r}: n0={report.n0} "
           f"violations={len(report.violations)}", file=sys.stderr)
     return 0 if report.holds_from_n0 and report.n0 <= n_hi else 1
 
 
-def _run_spt_check(config: RunConfig) -> int:
-    n_max = 60 if config.n_max is None else config.n_max
-    m1 = qseries.moment_table(1, 2, n_max)
-    m3 = qseries.moment_table(3, 2, n_max)
+def _run_spt_check(args: argparse.Namespace) -> int:
+    m1 = qseries.moment_table(1, 2, args.n_max)
+    m3 = qseries.moment_table(3, 2, args.n_max)
     rows = []
     ok = True
-    for n in range(1, n_max + 1):
+    for n in range(1, args.n_max + 1):
         spt = qseries.spt_oracle(n)
         holds = m1[n] - m3[n] == 2 * spt
         ok = ok and holds
         rows.append([n, spt, m1[n] - m3[n], int(holds)])
-    if config.fmt == "csv":
+    if args.fmt == "csv":
         text = _csv_text(["n", "spt", "moment_difference", "identity_holds"], rows)
     else:
         text = _json_text([
             {"n": n, "spt": s, "moment_difference": d, "identity_holds": bool(h)}
             for n, s, d, h in rows])
-    _emit(text, _resolve_out(config, "spt_check." + config.fmt))
-    print(f"spt identity on 1..{n_max}: {'ok' if ok else 'FAILED'}", file=sys.stderr)
+    _emit(text, _resolve_out(args, "spt_check." + args.fmt))
+    print(f"spt identity on 1..{args.n_max}: {'ok' if ok else 'FAILED'}", file=sys.stderr)
     return 0 if ok else 1
 
 
@@ -244,23 +211,9 @@ _DISPATCH = {
 }
 
 
-def run(config: RunConfig) -> int:
-    """Validate and dispatch one command; returns the process exit code.
-
-    Invalid input, whether `validate` or the library rejects it, ends with
-    exit status 2 and one `error:` line on stderr.
-    """
-    try:
-        config.validate()
-        return _DISPATCH[config.command](config)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
 class _Parser(argparse.ArgumentParser):
-    """An argument parser whose errors end like `run()`'s: one `error:` line
-    on stderr and exit status 2, with no usage block."""
+    """An argument parser whose errors end like every other invalid input:
+    one `error:` line on stderr and exit status 2, with no usage block."""
 
     def error(self, message):
         self.exit(2, f"error: {message}\n")
@@ -297,13 +250,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="transformation-law suites")
     common(p, needs_T=False)
-    p.add_argument("--case", default=None,
-                   help="one of: " + ", ".join(mockforms.VERIFICATION_CASES))
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--case", default=None, choices=mockforms.VERIFICATION_CASES,
+                   help="one suite (default: all twelve)")
+    p.add_argument("--trials", type=positive_int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol-scale", type=float, default=1.0,
+    p.add_argument("--tol-scale", type=positive_float, default=1.0,
                    help="multiplier on every per-case tolerance")
-    p.add_argument("--threads", type=int, default=1,
+    p.add_argument("--threads", type=positive_int, default=1,
                    help="upper bound on worker threads")
 
     p = sub.add_parser("scan", help="exact m_(T-2)^r > m_T^r scan")
@@ -312,40 +265,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spt-check", help="2 spt(n) = m_1^2(n) - m_3^2(n)")
     common(p, needs_T=False)
-    p.add_argument("--n-max", type=int, default=60)
+    p.add_argument("--n-max", type=positive_int, default=60)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    """Parse and dispatch one command; returns the process exit code.
+
+    Invalid input, whether the parser or the library rejects it, ends with
+    exit status 2 and one `error:` line on stderr.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    ns = []
-    if getattr(args, "n", None):
-        try:
-            ns = parse_n_values(args.n)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    config = RunConfig(
-        command=args.command,
-        T=getattr(args, "T", None),
-        r=getattr(args, "r", None),
-        ns=ns,
-        n_max=getattr(args, "n_max", None),
-        case=getattr(args, "case", None),
-        trials=getattr(args, "trials", 20),
-        seed=getattr(args, "seed", 0),
-        tol_scale=getattr(args, "tol_scale", 1.0),
-        threads=getattr(args, "threads", 1),
-        k_cap=getattr(args, "k_cap", None),
-        out=args.out,
-        fmt=args.fmt,
-    )
-    return run(config)
+    try:
+        if hasattr(args, "n"):
+            args.n = parse_n_values(args.n)
+        return _DISPATCH[args.command](args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

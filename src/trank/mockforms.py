@@ -115,25 +115,15 @@ def theta_product_tau(v: complex, tau: complex) -> complex:
 def zwegers_a_tau(u: complex, v: complex, tau: complex,
                   margin: float = _LATTICE_MARGIN) -> complex:
     """The two-variable Appell-Lerch sum
-    e^(pi i u) sum_n (-1)^n q^(n(n+1)/2) e^(2 pi i n v) / (1 - e^(2 pi i u) q^n)."""
-    tau = _require_upper(tau)
-    u, v = complex(u), complex(v)
-    _check_off_lattice(u, tau, margin, "u")
-    q = cmath.exp(2j * math.pi * tau)
-    eu = cmath.exp(2j * math.pi * u)
-    span = abs(v.imag) / tau.imag + abs(u.imag) / tau.imag
-    lo, hi = _gaussian_window(tau.imag)
-    lo, hi = lo - int(span) - 1, hi + int(span) + 1
-    acc = 0j
-    for n in range(lo, hi + 1):
-        acc += ((-1) ** n * cmath.exp(1j * math.pi * n * (n + 1) * tau + 2j * math.pi * n * v)
-                / (1.0 - eu * q**n))
-    return cmath.exp(1j * math.pi * u) * acc
+    e^(pi i u) sum_n (-1)^n q^(n(n+1)/2) e^(2 pi i n v) / (1 - e^(2 pi i u) q^n),
+    the level-1 case of `zwegers_a_t_tau`."""
+    return zwegers_a_t_tau(1, u, v, tau, margin)
 
 
 def zwegers_a_t_tau(T: int, u: complex, v: complex, tau: complex,
                     margin: float = _LATTICE_MARGIN) -> complex:
-    """The level-T Appell-Lerch sum; reduces to `zwegers_a_tau` at T = 1."""
+    """The level-T Appell-Lerch sum
+    e^(pi i T u) sum_n (-1)^(Tn) q^(Tn(n+1)/2) e^(2 pi i n v) / (1 - e^(2 pi i u) q^n)."""
     if T < 1:
         raise ValueError("T must be a positive integer")
     tau = _require_upper(tau)
@@ -260,7 +250,6 @@ class EvaluationPoint:
     z: complex
     h: int = 0
     k: int = 1
-    v: complex | None = None
     require_strong: bool = False
 
     def __post_init__(self):
@@ -277,10 +266,6 @@ class EvaluationPoint:
     @property
     def tau(self) -> complex:
         return (self.h + 1j * complex(self.z)) / self.k
-
-    @property
-    def nome(self) -> complex:
-        return cmath.exp(2j * math.pi * self.tau)
 
 
 def c_kernel(T: int, t: int, point: EvaluationPoint) -> complex:
@@ -403,22 +388,6 @@ def taylor_moments(T: int, r_max: int, point: EvaluationPoint,
 # ---------------------------------------------------------------------------
 # Transformation-law verification
 # ---------------------------------------------------------------------------
-
-VERIFICATION_CASES = (
-    "eta",
-    "theta_elliptic",
-    "theta_modular",
-    "muhat_elliptic",
-    "muhat_modular",
-    "R_props",
-    "R_dissection",
-    "AT_decomposition",
-    "prop_4_1",
-    "prop_4_2",
-    "R_composite",
-    "muhat_composite",
-)
-
 
 @dataclass
 class VerificationReport:
@@ -720,6 +689,8 @@ _TRIALS: dict[str, Callable] = {
     "R_composite": _trial_r_composite,
     "muhat_composite": _trial_muhat_composite,
 }
+
+VERIFICATION_CASES = tuple(_TRIALS)
 
 
 def _jsonable(value):

@@ -55,20 +55,6 @@ class PowerSeries:
     def __getitem__(self, n: int) -> int:
         return self.coeffs[n]
 
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(self.order, other.order)
-        return PowerSeries([self.coeffs[i] + other.coeffs[i] for i in range(n + 1)])
-
-    def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(self.order, other.order)
-        return PowerSeries([self.coeffs[i] - other.coeffs[i] for i in range(n + 1)])
-
-    def __neg__(self) -> "PowerSeries":
-        return PowerSeries([-c for c in self.coeffs])
-
-    def scale(self, k: int) -> "PowerSeries":
-        return PowerSeries([k * c for c in self.coeffs])
-
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         n = min(self.order, other.order)
         a = self.coeffs[: n + 1]

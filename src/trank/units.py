@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import NamedTuple
 
 
 @dataclass(frozen=True)
@@ -37,10 +36,6 @@ class ExactUnit:
     @classmethod
     def one(cls) -> "ExactUnit":
         return cls(Fraction(0))
-
-    @classmethod
-    def from_half_turns(cls, angle) -> "ExactUnit":
-        return cls(Fraction(angle))
 
     @classmethod
     def from_real(cls, x: float) -> "ExactUnit":
@@ -156,54 +151,6 @@ def chi_multiplier(h: int, k: int) -> ExactUnit:
     return unit
 
 
-@dataclass(frozen=True)
-class TransformContext:
-    """The integer data (T, t, l, h, k) of one transformation-law instance
-    plus everything derived from it."""
-
-    T: int
-    t: int
-    h: int
-    k: int
-    l: int = 0
-
-    def __post_init__(self):
-        if self.T < 1 or self.T % 2 == 0:
-            raise ValueError("T must be odd and positive")
-        if self.k < 1 or not 0 <= self.h < self.k or gcd(self.h, self.k) != 1:
-            raise ValueError("h, k must be coprime with 0 <= h < k")
-        if abs(self.t) > (self.T - 1) // 2:
-            raise ValueError("|t| must be at most (T-1)/2")
-
-    @property
-    def gamma_gcd(self) -> int:
-        return gcd(self.T, self.k)
-
-    @property
-    def gamma_co(self) -> int:
-        return self.T // self.gamma_gcd
-
-    @property
-    def k_reduced(self) -> int:
-        """k / (T, k), the modulus of the transformed eta-quotient."""
-        return self.k // self.gamma_gcd
-
-    @property
-    def inv(self) -> int:
-        return mod_inverse_pair(self.h, self.k)[0]
-
-    @property
-    def bezout_beta(self) -> int:
-        return mod_inverse_pair(self.h, self.k)[1]
-
-    def rho(self, x: int) -> int:
-        return rho_residue(self.T, x)
-
-    def alpha(self, l: int | None = None, k: int | None = None) -> Fraction:
-        return alpha_shift(self.T, self.t, self.l if l is None else l,
-                           self.k if k is None else k)
-
-
 def u_theta(T: int, t: int, h: int, k: int) -> ExactUnit:
     """Unit factor of the transformed theta quotient (t may be any residue)."""
     g = gcd(T, k)
@@ -290,29 +237,6 @@ def u_h_star(T: int, t: int, l: int, h: int, k: int) -> ExactUnit:
     u = u * ExactUnit(2 * Fraction(rho, T) * alpha_shift(T, t, l, kg))
     u = u * ExactUnit(Fraction(h, 12 * k)) * ExactUnit(Fraction(-inv, 12 * k))
     return u
-
-
-class UnitFactors(NamedTuple):
-    u_theta: ExactUnit
-    u_mu: ExactUnit
-    u_h: ExactUnit
-    u_theta_star: complex
-    u_h_star: complex
-
-
-def unit_factors(ctx: TransformContext) -> UnitFactors:
-    """All five unit factors of one (T, t, l, h, k) context.
-
-    u_theta and u_theta_star take the reduced pair (gamma_co h, k/(T,k))
-    internally, exactly as the composed transformation laws require.
-    """
-    return UnitFactors(
-        u_theta=u_theta(ctx.T, ctx.t, ctx.h, ctx.k),
-        u_mu=u_mu(ctx.T, ctx.t, ctx.gamma_co * ctx.h, ctx.k_reduced),
-        u_h=u_h(ctx.T, ctx.t, ctx.l, ctx.gamma_co * ctx.h, ctx.k_reduced),
-        u_theta_star=u_theta_star(ctx.T, ctx.t, ctx.h, ctx.k).to_complex(),
-        u_h_star=u_h_star(ctx.T, ctx.t, ctx.l, ctx.h, ctx.k).to_complex(),
-    )
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from trank.cli import RunConfig, main, parse_n_values, run
+from trank.cli import main, parse_n_values
 from trank.qseries import moment_table, spt_oracle
 
 
@@ -17,11 +17,12 @@ class TestParsing:
             parse_n_values("")
 
     def test_invalid_config_exits_2(self, capsys):
-        assert run(RunConfig(command="moments", T=2, r=2, n_max=5)) == 2
+        assert main(["moments", "--T", "2", "--r", "2", "--n-max", "5"]) == 2
         assert "odd positive" in capsys.readouterr().err
-        assert run(RunConfig(command="nope")) == 2
+        assert main(["nope"]) == 2
         assert main(["verify", "--case", "bogus"]) == 2
         assert main(["moments", "--T", "3"]) == 2  # missing required args
+        assert main(["scan", "--T", "5", "--r", "2", "--n", ""]) == 2
 
 
 class TestMoments:

@@ -1,8 +1,7 @@
 """The exact stdout bytes and exit status of every subcommand.
 
-Each hash was recorded from the command's output before the library's
-own file writers were removed, so the CLI stays the one writer of
-unchanged bytes.  A second group checks that invalid input, whether the
+Each hash was recorded from the command's output before a refactor of
+the code behind it, so refactors keep every output byte.  A second group checks that invalid input, whether the
 argument parser or the library rejects it, ends with exit status 2 and a
 single `error:` line on stderr, never a usage block or a traceback.
 """
@@ -36,6 +35,8 @@ BYTES = {
         "7bd88c670652b6fdc5c3290b4e1075378c30386b384e52f71a332f1ef7fadc61",
     "verify --case eta --trials 8 --seed 3":
         "552a36886c34c2930299ef2b42fc9b1bc7b983367699250d5a2f5b18956a2055",
+    "verify --trials 6 --seed 1":
+        "087d8533748d74e3663916feebfcdc7071156bb76ff54728d30632d434e3fe8d",
 }
 
 INVALID = [
@@ -53,6 +54,14 @@ INVALID = [
     # option the command does not have
     "moments --T 3 --r 2",
     "moments --T 3 --r 2 --n-max 5 --threads 2",
+    # range checks the argument parser makes through its converters and
+    # choices, and an unknown command
+    "verify --trials 0",
+    "verify --threads 0",
+    "verify --tol-scale 0",
+    "verify --tol-scale nan",
+    "verify --case bogus",
+    "nope",
 ]
 
 

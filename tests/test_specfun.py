@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 import random
 import subprocess
 import sys
@@ -302,8 +303,12 @@ class TestBesselIntegral:
     def test_import_leaves_numpy_polynomial_unloaded(self):
         # the Gauss-Legendre nodes are built on first use, not at import
         code = "import sys, trank; print('numpy.polynomial' in sys.modules)"
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, check=True).stdout
+                             text=True, check=True, env=env).stdout
         assert out.strip() == "False"
 
     def test_validation(self):

@@ -19,13 +19,11 @@ from trank.units import (
     mod_inverse_pair,
     partial_phases,
     rho_residue,
-    TransformContext,
     u_h,
     u_h_star,
     u_mu,
     u_theta,
     u_theta_star,
-    unit_factors,
 )
 
 
@@ -175,23 +173,6 @@ class TestChi:
             chi_multiplier(2, 6)
 
 
-class TestTransformContext:
-    def test_derived_quantities(self):
-        ctx = TransformContext(T=15, t=4, h=5, k=6, l=1)
-        assert ctx.gamma_gcd == 3 and ctx.gamma_co == 5 and ctx.k_reduced == 2
-        inv, beta = ctx.inv, ctx.bezout_beta
-        assert -ctx.h * inv - beta * ctx.k == 1
-        assert abs(ctx.alpha()) < Fraction(1, 2)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TransformContext(T=4, t=0, h=1, k=2)
-        with pytest.raises(ValueError):
-            TransformContext(T=5, t=3, h=1, k=2)
-        with pytest.raises(ValueError):
-            TransformContext(T=5, t=1, h=2, k=4)
-
-
 class TestUnitFactors:
     def test_u_mu_u_h_unimodular(self):
         rng = random.Random(21)
@@ -213,22 +194,15 @@ class TestUnitFactors:
         # rho = 0 branch carries a real sin scale; rho != 0 is unimodular
         assert not u_theta_star(5, 1, 0, 1).is_unimodular
         assert u_theta_star(5, 1, 1, 5).is_unimodular  # rho_5(1) = 1
+        # gamma_gcd = 5 and rho_5(2*1*3) = 1 != 0: u_h_star's theta-star
+        # factor is unimodular, and so is u_h_star
+        assert abs(abs(u_h_star(5, 2, 1, 3, 10).to_complex()) - 1) < 1e-12
 
     def test_requires_nonzero_t(self):
         for fn in (lambda: u_mu(5, 0, 1, 2), lambda: u_theta_star(5, 0, 1, 2),
                    lambda: u_h(5, 0, 0, 1, 2), lambda: u_h_star(5, 0, 0, 1, 2)):
             with pytest.raises(ValueError):
                 fn()
-
-    def test_unit_factors_bundle(self):
-        # gamma_gcd = 5 here, so rho_5(2*1*3) = 1 != 0: the theta-star
-        # factor is unimodular; with k = 4 instead it lands in the rho = 0
-        # branch and picks up the real sin scale
-        ctx = TransformContext(T=5, t=2, h=3, k=10, l=1)
-        bundle = unit_factors(ctx)
-        assert bundle.u_mu.is_unimodular and bundle.u_h.is_unimodular
-        assert abs(abs(bundle.u_theta_star) - 1) < 1e-12
-        assert abs(abs(bundle.u_h_star) - 1) < 1e-12
 
 
 class TestKloosterman:
