@@ -131,9 +131,12 @@ class TermBreakdown:
 
 
 def _realize(value: complex, terms: dict, what: str) -> float:
-    """The real part of `value`, the sum of `terms`, once its imaginary part
-    is checked against sum |term|: the scale on which each term's error is
-    bounded, which the real part itself may cancel far below."""
+    """The real part of `value`, the sum of `terms`, once it is checked to
+    be finite and its imaginary part is checked against sum |term|: the
+    scale on which each term's error is bounded, which the real part
+    itself may cancel far below."""
+    if not cmath.isfinite(value):
+        raise ValueError(f"{what} is not finite: {value}")
     scale = sum(abs(term) for term in terms.values())
     if abs(value.imag) > 1e-8 * max(scale, 1e-300):
         raise ArithmeticError(f"{what} has a non-negligible imaginary part: {value}")
@@ -153,8 +156,9 @@ def theorem_a_main(query: AsymptoticQuery) -> TermBreakdown:
     The Mordell part is assembled in three passes: the partial Kloosterman
     sums of each (gamma, k, t) from one pass over h, bucketed by varrho;
     the Bessel integrals of each (k, varrho, c, d) group over all of its
-    alpha at once; then the terms, summed in (gamma, k, t, varrho, l,
-    a, b, c) order.
+    alphas at once, each alpha a float that its row reaches by index; then
+    the terms, summed in (gamma, k, t, varrho, l, a, b, c) order, with the
+    powers of each (k, varrho, a, b, c) computed once.
     """
     T, r, n = query.T, query.r, query.n
     out = TermBreakdown(query=query)
@@ -176,8 +180,8 @@ def theorem_a_main(query: AsymptoticQuery) -> TermBreakdown:
 
     abc = kappa_h_support(r)
     half = (T - 1) // 2
-    rows = []  # (gamma, t, varrho, k, l, alpha, partial sum), in summation order
-    alphas: dict = {}  # (k, varrho) -> the alphas of that group, one per (t, l)
+    rows = []  # (gamma, t, varrho, k, l, index into the (k, varrho) group, partial sum)
+    alphas: dict = {}  # (k, varrho) -> the float alphas of that group, one per (t, l)
     betas: dict = {}  # gamma -> {varrho: gate}
     for gamma in (d for d in range(1, T + 1) if T % d == 0):
         betas[gamma] = {rho: positivity_gate(T, gamma, rho) for rho in range(-half, half + 1)}
@@ -185,45 +189,47 @@ def theorem_a_main(query: AsymptoticQuery) -> TermBreakdown:
         for k in range(1, query.cap + 1):
             if gcd(T, k) != gamma:
                 continue
+            K = k // gamma
             for t in range(-half, half + 1):
                 if t == 0:
                     continue
-                out.dropped_terms += (T - len(gated)) * (k // gamma) * len(abc)
+                out.dropped_terms += (T - len(gated)) * K * len(abc)
                 if not gated:
                     continue
                 partials = kloosterman_partials(T, t, k, n, gated)
                 for rho in gated:
+                    if partials[rho][0].is_empty:
+                        continue
+                    group = alphas.setdefault((k, rho), [])
                     for l, kv in enumerate(partials[rho]):
-                        if kv.is_empty:
-                            continue
-                        alpha = alpha_shift(T, t, l, k // gamma)
-                        rows.append((gamma, t, rho, k, l, alpha, kv.value))
-                        alphas.setdefault((k, rho), []).append(alpha)
+                        rows.append((gamma, t, rho, k, l, len(group), kv.value))
+                        # float(alpha_shift(T, t, l, K)): int / int is correctly rounded
+                        group.append((-2 * t + (2 * l - K + 1) * T) / (2 * T * K))
 
-    integrals = {}
-    for (k, rho), group in alphas.items():
-        beta = betas[gcd(T, k)][rho]
-        for c, d in dict.fromkeys((c, Fraction(-1, 2) - a - c) for (a, _, c) in abc):
-            values = bessel_integrals(IntegralParams(
-                T=T, alpha=group[0], beta=beta, delta=Fraction(-1, 12),
-                varrho=Fraction(rho, T), c=c, d=d, k=k, n=n,
-            ), group)
-            integrals.update(((k, rho, c, d, alpha), value)
-                             for alpha, value in zip(group, values))
-
+    sums = list(dict.fromkeys((c, a + c) for (a, _, c) in abc))
     weights = {key: kappa_h(*key).to_float() for key in abc}
-    h_acc = 0j
-    for gamma, t, rho, k, l, alpha, kv in rows:
+    factors = {}  # (k, varrho) -> per (a, b, c): its weight, powers and integrals
+    for (k, rho), group in alphas.items():
+        gamma = gcd(T, k)
         beta = betas[gamma][rho]
-        for (a, b, c) in abc:
-            d = Fraction(-1, 2) - a - c
-            term = (2.0 * math.pi * kv / k
-                    * weights[(a, b, c)]
-                    * float(k * T) ** (a - 0.5)
-                    * gamma ** (c + 0.5)
-                    * (2.0 * n - 1.0 / 12.0) ** ((a + c) / 2.0 - 0.25)
-                    * float(beta) ** (0.75 - (a + c) / 2.0)
-                    * integrals[(k, rho, c, d, alpha)])
+        integrals = {(c, s): bessel_integrals(IntegralParams(
+            T=T, alpha=group[0], beta=beta, delta=Fraction(-1, 12),
+            varrho=Fraction(rho, T), c=c, d=Fraction(-1, 2) - s, k=k, n=n,
+        ), group) for c, s in sums}  # one value per alpha of the group
+        factors[(k, rho)] = [
+            ((a, b, c), weights[(a, b, c)],
+             float(k * T) ** (a - 0.5),
+             gamma ** (c + 0.5),
+             (2.0 * n - 1.0 / 12.0) ** ((a + c) / 2.0 - 0.25),
+             float(beta) ** (0.75 - (a + c) / 2.0),
+             integrals[(c, a + c)])
+            for (a, b, c) in abc]
+
+    h_acc = 0j
+    for gamma, t, rho, k, l, i, kv in rows:
+        lead = 2.0 * math.pi * kv / k
+        for (a, b, c), weight, kt_pow, gamma_pow, n_pow, beta_pow, values in factors[(k, rho)]:
+            term = lead * weight * kt_pow * gamma_pow * n_pow * beta_pow * values[i]
             h_acc += term
             out.mordell_contributions[(gamma, t, rho, k, l, a, b, c)] = term
     out.mordell_part = (_realize(h_acc, out.mordell_contributions, "mordell part")

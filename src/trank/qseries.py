@@ -7,9 +7,10 @@ defined for odd T by
     sum_n N_T(m, n) q^n = (1/(q)_inf) * sum_{j>=1} (-1)^(j-1)
                           q^(j(Tj-1)/2 + |m| j) (1 - q^j),
 
-their power moments m_T^r(n) = sum_m m^r N_T(m, n), and a brute-force
-smallest-parts oracle spt(n).  T = 1 gives the crank counts, T = 3 the rank
-counts.  Floating point appears only in `moment_generating_eval`, which sums
+their power moments m_T^r(n) = sum_m m^r N_T(m, n), and the
+smallest-parts function spt(n): from Andrews' generating function, and
+by brute force as an independent oracle.  T = 1 gives the crank counts,
+T = 3 the rank counts.  Floating point appears only in `moment_generating_eval`, which sums
 a finished exact table at a numeric point.
 """
 
@@ -141,6 +142,34 @@ def partition_series(n_max: int) -> PowerSeries:
 
 def partition_number(n: int) -> int:
     return partition_series(n)[n]
+
+
+def spt_series(n_max: int) -> PowerSeries:
+    """sum_n spt(n) q^n, truncated at q^n_max, from Andrews' generating function
+
+        sum_{n>=1} q^n / (1 - q^n)^2 prod_{m>n} 1 / (1 - q^m)
+
+    (Andrews, "The number of smallest parts in the partitions of n", 2008).
+    The product is built downward from n = n_max, one division by
+    (1 - q^n) per step, so the whole series takes O(n_max^2) integer
+    additions.  It shares nothing with the moment tables, against which
+    `trank spt-check` tests it.
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    tail = [1] + [0] * n_max  # prod_{m>n} 1/(1 - q^m), from n = n_max down
+    acc = [0] * (n_max + 1)
+    for n in range(n_max, 0, -1):
+        # q^n / (1 - q^n)^2 times the tail: two divisions by (1 - q^n), a shift
+        term = tail[: n_max - n + 1]
+        for _ in range(2):
+            for i in range(n, len(term)):
+                term[i] += term[i - n]
+        for i, v in enumerate(term, n):
+            acc[i] += v
+        for i in range(n, n_max + 1):
+            tail[i] += tail[i - n]
+    return PowerSeries(acc)
 
 
 def spt_oracle(n: int) -> int:

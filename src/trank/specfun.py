@@ -147,7 +147,7 @@ def bessel_i_series(order, x):
     for m in range(1, 600):
         term = term * quarter / (m * (m + nu))
         acc = acc + term
-        if np.all(np.abs(term) <= 1e-18 * np.maximum(np.abs(acc), 1e-300)):
+        if (np.abs(term) <= 1e-18 * np.maximum(np.abs(acc), 1e-300)).all():
             break
     else:
         raise ConvergenceError("Bessel power series did not converge")
@@ -189,7 +189,7 @@ def _bessel_miller(n: int, x, extra: int):
         if m - 1 == n:
             target = fc
         big = np.abs(fc) > 1e260
-        if np.any(big):
+        if big.any():
             scale = np.where(big, 1e-260, 1.0)
             fp = fp * scale
             fc = fc * scale
@@ -218,6 +218,8 @@ def _bessel_positive(n: int, x):
     prev = None
     for extra in (base, base + 40, base + 120):
         out = _bessel_miller(n, x, extra)
+        if not np.isfinite(out).all():
+            return out  # past double range, which `bessel_i` reports
         if prev is not None and np.all(
             np.abs(out - prev) <= 1e-13 * np.maximum(np.abs(out), 1e-300)
         ):
@@ -243,7 +245,9 @@ def bessel_i(order, x):
     cancellation); larger positive orders use a normalized downward Miller
     recurrence, larger negative orders the K-connection split.  Relative
     accuracy 1e-10 for |order| <= 31/2 and x in [1e-3, 200], away from the
-    zeros of the negative-order functions.
+    zeros of the negative-order functions.  A value past double range
+    (x above about 710) raises `ValueError` rather than returning inf or
+    nan.
     """
     two_nu = _as_half_integer(order)
     if abs(Fraction(two_nu, 2)) > _MAX_BESSEL_ORDER:
@@ -252,19 +256,22 @@ def bessel_i(order, x):
     xs = np.asarray(x, dtype=float)
     if np.any(xs <= 0):
         raise ValueError("x must be positive")
-    if abs(two_nu) <= 5:
-        small = xs < abs(two_nu) / 2.0
-        if np.all(small):
-            out = bessel_i_series(order, xs)
-        elif not np.any(small):
-            out = _bessel_closed(two_nu, xs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if abs(two_nu) <= 5:
+            small = xs < abs(two_nu) / 2.0
+            if np.all(small):
+                out = bessel_i_series(order, xs)
+            elif not np.any(small):
+                out = _bessel_closed(two_nu, xs)
+            else:
+                out = np.where(small, bessel_i_series(order, np.where(small, xs, 1.0)),
+                               _bessel_closed(two_nu, np.where(small, 1.0, xs)))
+        elif two_nu > 0:
+            out = _bessel_positive((two_nu - 1) // 2, xs)
         else:
-            out = np.where(small, bessel_i_series(order, np.where(small, xs, 1.0)),
-                           _bessel_closed(two_nu, np.where(small, 1.0, xs)))
-    elif two_nu > 0:
-        out = _bessel_positive((two_nu - 1) // 2, xs)
-    else:
-        out = _bessel_negative((-two_nu - 1) // 2, xs)
+            out = _bessel_negative((-two_nu - 1) // 2, xs)
+    if not np.isfinite(out).all():
+        raise ValueError(f"I_({two_nu}/2)(x) overflows double range")
     return float(out) if scalar else out
 
 
@@ -392,7 +399,7 @@ class IntegralParams:
     """
 
     T: int
-    alpha: Fraction
+    alpha: float
     beta: Fraction
     delta: Fraction
     varrho: Fraction
@@ -457,8 +464,11 @@ def bessel_integrals(params: IntegralParams, alphas, tol: float = 1e-9) -> list[
 
     Only the factor e^(2 pi lam alpha x) depends on alpha, so each panel's
     nodes and alpha-free factors, the Bessel values among them, are
-    evaluated once per panel count and shared; each alpha keeps its own
-    doubling loop, and every value is bit-identical to a one-alpha call.
+    evaluated once per panel count and shared.  At each panel count every
+    alpha not yet converged is evaluated at once, one (pending alpha x 24)
+    array per panel; each alpha accumulates its panels in order and keeps
+    its own doubling test, and leaves the pending set when that passes, so
+    every value is bit-identical to a one-alpha call.
     """
     lam = params.lam
     rho = float(params.varrho)
@@ -469,43 +479,35 @@ def bessel_integrals(params: IntegralParams, alphas, tol: float = 1e-9) -> list[
     if arg_scale > 700.0:
         raise ValueError("Bessel argument overflows double range")
     nodes, weights = _gauss_legendre()
-    grids: dict[int, list] = {}
-
-    def grid(panels):
-        """(rad, x, then the alpha-free factors in integrand order) per panel."""
-        if panels not in grids:
-            rows = []
-            edges = np.linspace(-1.0, 1.0, panels + 1)
-            for a, b in zip(edges[:-1], edges[1:]):
-                mid, rad = (a + b) / 2.0, (b - a) / 2.0
-                x = mid + rad * nodes
-                one_minus = 1.0 - x * x
-                y = arg_scale * np.sqrt(one_minus)
-                rows.append((rad, x, (lam * x) ** c if c else 1.0, one_minus**half_exp,
-                             bessel_i(order, y), np.cosh(math.pi * (lam * x + 1j * rho))))
-            grids[panels] = rows
-        return grids[panels]
-
-    out = []
-    for alpha in alphas:
-        slope = 2.0 * math.pi * lam * float(alpha)
-        prev = None
-        panels = 2
-        for _ in range(9):
-            total = 0j
-            magnitude = 0.0
-            for rad, x, base, power, bessel, cosh in grid(panels):
-                vals = weights * (base * np.exp(slope * x) * power * bessel / cosh)
-                total += rad * vals.sum()
-                magnitude += rad * float(np.abs(vals).sum())
-            floor = 1e-14 * magnitude
-            if prev is not None and abs(total - prev) <= max(tol * abs(total), floor):
-                out.append(complex(total))
-                break
-            prev = total
-            panels *= 2
-        else:
+    out = [0j] * len(alphas)
+    pending = np.arange(len(alphas))
+    slopes = 2.0 * math.pi * lam * np.array([float(alpha) for alpha in alphas])
+    prev = None
+    panels = 2
+    while len(pending):
+        if panels > 512:  # nine doublings from 2
             raise ConvergenceError("panel doubling did not converge for bessel_integral")
+        edges = np.linspace(-1.0, 1.0, panels + 1)
+        total = np.zeros(len(pending), dtype=complex)
+        magnitude = np.zeros(len(pending))
+        for a, b in zip(edges[:-1], edges[1:]):
+            mid, rad = (a + b) / 2.0, (b - a) / 2.0
+            x = mid + rad * nodes
+            one_minus = 1.0 - x * x
+            base = (lam * x) ** c if c else 1.0
+            vals = weights * (base * np.exp(slopes[pending, None] * x)
+                              * one_minus**half_exp
+                              * bessel_i(order, arg_scale * np.sqrt(one_minus))
+                              / np.cosh(math.pi * (lam * x + 1j * rho)))
+            total += rad * vals.sum(axis=1)
+            magnitude += rad * np.abs(vals).sum(axis=1)
+        if prev is not None:
+            done = np.abs(total - prev) <= np.maximum(tol * np.abs(total), 1e-14 * magnitude)
+            for i, value in zip(pending[done], total[done]):
+                out[i] = complex(value)
+            pending, total = pending[~done], total[~done]
+        prev = total
+        panels *= 2
     return out
 
 

@@ -6,9 +6,13 @@ with mixed denominators (4, 12, k, T, ...).  Accumulating those phases in
 floating point destroys the cancellation that Kloosterman sums live on, so
 every multiplier here is an `ExactUnit`: a nonnegative real scale times
 e^(i pi angle) with the angle kept as an exact `Fraction` modulo 2.  The
-partial Kloosterman sums of the Mordell part take the l-dependent part
-of each phase as an exact integer numerator over one common denominator
-instead (`partial_phases`), equal as a rational to the `Fraction` angle.
+partial Kloosterman sums of the Mordell part build no `Fraction` at all
+(`partial_phases`): the l-free base angle of each h is one integer
+numerator over L = 12 T gamma_co k, reduced by `gcd` (every factor's
+denominator, 4, 12, k, 4k, 12k, gamma_co k or gamma_co T k, divides L),
+and the l-dependent part is an integer numerator over a common multiple
+of that; both equal, as rationals, the `Fraction` angle of the same unit
+product.
 The only lossy step is the final conversion to `complex`.
 """
 
@@ -315,28 +319,82 @@ def kloosterman_partial(
     return KloostermanValue(k=k, n=n, value=acc, terms=terms)
 
 
+def _chi_twelfths(h: int, k: int) -> int:
+    """12 times the angle of `chi_multiplier(h, k)`: an integer, mod 24."""
+    shift = h // k
+    h -= shift * k
+    inv, beta = mod_inverse_pair(h, k)
+    if k % 2 == 1:
+        sym = jacobi_symbol(h, k)
+        twelfths = -3 * k - beta * inv * (1 - k * k) + k * (h - inv)
+    elif h % 2 == 1:
+        sym = jacobi_symbol(k, h)
+        twelfths = -3 + h * k * (1 - inv * inv) - inv * (beta - k + 3)
+    else:
+        raise ValueError("h and k cannot both be even")
+    return twelfths + shift + (12 if sym < 0 else 0)
+
+
+def _base_phase(T: int, t: int, h: int, k: int, n: int) -> tuple[float, int, int]:
+    """(scale, p, q): the l-free factors e(-2nh/k) i^(3/2) u_theta_star
+    chi(h, k)^-1 e((h - [-h]_k)/(12k)) of `partial_phases` as
+    scale * e^(i pi p/q), with p/q in [0, 2) in lowest terms.
+
+    The angle is one integer numerator over L = 12 T gamma_co k, reduced
+    by `gcd`; chi and chi^3 (at (gamma_co h, k/(T, k))) enter as
+    `_chi_twelfths`.  The scale is 1, except for rho = 0, where it is
+    u_theta_star's real factor |2 sin(.)|.
+    """
+    if t == 0:
+        raise ValueError("partial_phases requires t != 0")
+    g = gcd(T, k)
+    gco = T // g
+    H = gco * h
+    rho = rho_residue(T, t * H)
+    inv = mod_inverse_pair(h, k)[0]
+    inv2 = inverse_mod(-H, k // g)
+    L = 12 * T * gco * k
+    tail = 12 * T * (rho * inv2 - t * (1 + H * inv2))  # L (rho inv2 - t(1 + H inv2))/(gco k)
+    N = (-24 * n * h * T * gco + 9 * T * gco * k  # e(-2nh/k) i^(3/2)
+         + 3 * T * gco * k * _chi_twelfths(H, k // g)  # chi^3
+         + ((t * H - rho) // T) * L  # u_theta
+         + 12 * ((t * H - rho) ** 2 * inv2 - 2 * t * rho)
+         + 3 * T * T * inv2  # g inv2/(4k)
+         - T * gco * k * _chi_twelfths(h, k)  # chi^-1
+         + T * gco * (h - inv))  # e((h - [-h]_k)/(12k))
+    scale = 1.0
+    if rho > 0:
+        N -= L // 2 + tail
+    elif rho < 0:
+        N += L // 2 + tail
+    else:
+        s = math.sin(math.pi * (-t * (1 + H * inv2) / (gco * k)))
+        scale = abs(-2.0 * s)
+        if s > 0:
+            N += L
+    N %= 2 * L
+    reduce = gcd(N, L)
+    return scale, N // reduce, L // reduce
+
+
 def partial_phases(T: int, t: int, h: int, k: int, n: int) -> tuple[float, list[int], int]:
     """The units e(-2nh/k) u_h_star(T, t, l, h, k) for l = 0..k/(T,k) - 1.
 
     Returns (scale, numerators, den): unit l is scale * e^(i pi N_l / den)
     with integers 0 <= N_l < 2 den, and N_l / den is exactly the unit's
-    `Fraction` angle.  The l-free factors (e(-2nh/k), i^(3/2), u_theta_star,
-    chi^-1 and the two 1/(12k) phases) are multiplied once as `Fraction`s.
-    The (rho/T) alpha phase of u_h cancels u_h_star's alpha_shift factor
+    `Fraction` angle.  The l-free factors give the base angle p/q, an
+    integer numerator over L = 12 T gamma_co k (`_base_phase`).  The
+    (rho/T) alpha phase of u_h cancels u_h_star's alpha_shift factor
     exactly, and the rest of u_h's angle is num/D with D = 4TK,
     K = k/(T,k), H = gamma_co h and w = 2l - K + 1:
 
         num = -(HK+1)TK + 4TK (e mod 2) - T H w^2 - 2w (TK - 2tH),
         e = lH + (K-1)(H-1)//2 + tH - rho + 1.
     """
+    scale, p, q = _base_phase(T, t, h, k, n)
     g = gcd(T, k)
-    gco = T // g
     kg = k // g
-    inv = mod_inverse_pair(h, k)[0]
-    base = (ExactUnit(Fraction(-2 * n * h, k)) * I_POW_3_2 * u_theta_star(T, t, h, k)
-            * chi_multiplier(h, k).inverse() * ExactUnit(Fraction(h - inv, 12 * k)))
-    p, q = base.angle.numerator, base.angle.denominator
-    H = gco * h
+    H = T // g * h
     rho = rho_residue(T, t * H)
     D = 4 * T * kg
     den = q * D
@@ -347,7 +405,7 @@ def partial_phases(T: int, t: int, h: int, k: int, n: int) -> tuple[float, list[
         w = 2 * l - kg + 1
         num = 4 * T * kg * ((l * H + e0) % 2) - T * H * w * w - 2 * w * (T * kg - 2 * t * H)
         nums.append((const + num * q) % (2 * den))
-    return base.scale, nums, den
+    return scale, nums, den
 
 
 def kloosterman_partials(
@@ -372,7 +430,11 @@ def kloosterman_partials(
         if bucket is not None:
             bucket.append(h)
     out = {}
+    zero = KloostermanValue(k=k, n=n, value=0j, terms=0)
     for rho, hs in members.items():
+        if not hs:
+            out[rho] = [zero] * (k // g)
+            continue
         acc = [0j] * (k // g)
         for h in hs:
             scale, nums, den = partial_phases(T, t, h, k, n)

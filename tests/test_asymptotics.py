@@ -92,6 +92,18 @@ class TestTheoremA:
         with pytest.raises(ArithmeticError):
             _realize(sum(terms.values()), terms, "residue")
 
+    def test_realize_rejects_non_finite(self):
+        for bad in (complex(math.nan, 0.0), complex(math.inf, 0.0)):
+            with pytest.raises(ValueError, match="not finite"):
+                _realize(bad, {0: bad}, "overflowed")
+
+    @pytest.mark.parametrize("r", [2, 6])
+    def test_overflowing_mu_part_raises(self, r):
+        # the k = 1 Bessel argument pi sqrt(24n - 1)/6 is about 725 at
+        # n = 80000, past double range: an error, never mu_part = nan
+        with pytest.raises(ValueError, match="overflows double range"):
+            theorem_a_main(AsymptoticQuery(T=1, r=r, n=80000))
+
     def test_mordell_improves_T5(self):
         table = moment_table(5, 2, 150)
         b = theorem_a_main(AsymptoticQuery(T=5, r=2, n=150))
@@ -141,6 +153,10 @@ BREAKDOWN_SHA256 = {
     (13, 2, 90): "0dcb27ef07eeb91b2d003c48725aef386e5cd3e68f72c3338ad0dbb61ca85598",
     (23, 6, 40): "edd046a3d183a9cc437aa6d343d37132ea5d64bb6d2a9f6f3339c9a02712ff0a",
     (3, 2, 300): "0f60c194bc1fcee15199a239e266daf96cd6a692b385dc758534eb91ae013bce",
+    # two queries of the benchmark's `mordell` workload, recorded before
+    # the integer base phases and the alpha-vectorised quadrature
+    (7, 4, 200): "dc17a99a93b9f4ca86075e85528f2c91c778b5b2666f1f483ee8a6ba60c64706",
+    (17, 2, 221): "77d41292a0b51f031cd7b9bb0fa20a6718f229c5a984fd82a5148ee4c610dfa4",
 }
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -98,6 +102,32 @@ class TestCompareScanSpt:
         lines = out.read_text().splitlines()
         assert lines[0] == "n,spt,moment_difference,identity_holds"
         assert all(line.endswith(",1") for line in lines[1:])
+
+    def test_spt_check_past_the_oracle(self, capsys):
+        # n_max = 200 is out of the brute-force oracle's reach; the series
+        # takes a fraction of a second
+        start = time.perf_counter()
+        assert main(["spt-check", "--n-max", "200"]) == 0
+        assert time.perf_counter() - start < 5.0
+        captured = capsys.readouterr()
+        assert captured.err == "spt identity on 1..200: ok\n"
+        assert captured.out.splitlines()[-1].startswith("200,")
+
+    def test_overflowing_asymptotic_exits_2(self):
+        # a main term past double range is invalid input: exit 2 and one
+        # error line from the process, no traceback, no numpy warning
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        env.pop("TRANK_OUT_DIR", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "trank", "asymptotic", "--T", "1", "--r", "2",
+             "--n", "80000"], capture_output=True, text=True, env=env)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
 
     def test_asymptotic_command(self, tmp_path):
         out = tmp_path / "a.csv"

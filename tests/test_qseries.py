@@ -12,6 +12,7 @@ from trank.qseries import (
     partition_series,
     rank_count_table,
     spt_oracle,
+    spt_series,
 )
 
 from helpers import partition_count, rank_counts, spt_direct
@@ -74,6 +75,17 @@ class TestSptOracle:
             spt_oracle(0)
         with pytest.raises(ValueError):
             spt_oracle(201)
+
+
+class TestSptSeries:
+    def test_equals_oracle(self):
+        assert spt_series(60).coeffs == (0,) + tuple(spt_oracle(n) for n in range(1, 61))
+
+    def test_truncation_and_guard(self):
+        assert spt_series(0).coeffs == (0,)
+        assert spt_series(80).coeffs[:41] == spt_series(40).coeffs
+        with pytest.raises(ValueError):
+            spt_series(-1)
 
 
 class TestRankCountTable:

@@ -1,15 +1,18 @@
 import dataclasses
+import itertools
 import math
 import os
 import random
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+from trank.errors import ConvergenceError
 from trank.specfun import (
     IntegralParams,
     bernoulli_half,
@@ -100,6 +103,17 @@ class TestBesselI:
             bessel_i(1, 1.0)  # integer order unsupported
         with pytest.raises(ValueError):
             bessel_i(Fraction(61, 2), 1.0)
+
+    @pytest.mark.parametrize("order", [Fraction(1, 2), Fraction(-3, 2),
+                                       Fraction(9, 2), Fraction(-21, 2)])
+    def test_overflow_raises(self, order):
+        # every path (closed form, Miller, K-connection) past double range
+        # raises instead of returning inf or nan, and numpy stays silent
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isfinite(bessel_i(order, 700.0))
+            with pytest.raises(ValueError, match="overflows double range"):
+                bessel_i(order, np.array([5.0, 800.0]))
 
 
 class TestBernoulli:
@@ -299,6 +313,42 @@ class TestBesselIntegral:
         assert bessel_integrals(p, alphas) == alone
         assert len(calls) == 2 + 4 + 8
         assert bessel_integrals(p, []) == []
+
+    def test_pending_alphas_converge_at_their_own_panel_count(self, monkeypatch):
+        # T = 13, varrho = 6/13: the two outer alphas converge at 8 panels
+        # and the inner ones at 16.  In shuffled order the group gives each
+        # alpha exactly its one-alpha value, from 2 + 4 + 8 + 16 panels
+        p = _params(T=13, beta=Fraction(1, 12) - Fraction(1, 4 * 13**3),
+                    varrho=Fraction(6, 13), c=1, d=Fraction(-5, 2), k=1, n=40)
+        alphas = [Fraction(s, 25) for s in range(-12, 13, 3)]
+        random.Random(3).shuffle(alphas)
+        original = bessel_i
+        panels = []
+
+        def counting(order, y):
+            panels.append(1)
+            return original(order, y)
+
+        monkeypatch.setattr("trank.specfun.bessel_i", counting)
+        values, counts = [], []
+        for a in alphas:
+            panels.clear()
+            values.append(bessel_integral(dataclasses.replace(p, alpha=a)))
+            counts.append(len(panels))
+        assert sorted(set(counts)) == [2 + 4 + 8, 2 + 4 + 8 + 16]
+        panels.clear()
+        assert bessel_integrals(p, alphas) == values
+        assert len(panels) == 2 + 4 + 8 + 16
+
+    def test_unconvergeable_group_raises(self, monkeypatch):
+        # a Bessel factor that drifts on every call keeps each alpha's
+        # doubling test failing; after 9 doublings the group raises
+        drift = itertools.count(1)
+        original = bessel_i
+        monkeypatch.setattr("trank.specfun.bessel_i",
+                            lambda order, y: original(order, y) * (1.0 + 0.01 * next(drift)))
+        with pytest.raises(ConvergenceError):
+            bessel_integrals(_params(), [Fraction(-1, 5), Fraction(1, 7)])
 
     def test_import_leaves_numpy_polynomial_unloaded(self):
         # the Gauss-Legendre nodes are built on first use, not at import

@@ -7,7 +7,9 @@ from math import gcd
 import pytest
 
 from trank.units import (
+    I_POW_3_2,
     ExactUnit,
+    _base_phase,
     alpha_shift,
     chi_multiplier,
     inverse_mod,
@@ -291,6 +293,24 @@ class TestIntegerPhases:
                             assert 0 <= num < 2 * den
                             assert Fraction(num, den) == unit.angle
                             assert scale == unit.scale
+
+    @pytest.mark.parametrize("T", range(3, 24, 2))
+    def test_base_angle_to_k30(self, T):
+        # k <= 30, every coprime h and t != 0, at n = 1600: the integer base
+        # angle is the Fraction product of the l-free factors, in lowest
+        # terms, and the scale is the product's scale
+        half = (T - 1) // 2
+        n = 1600
+        for k in range(1, 31):
+            for h in (h for h in range(k) if gcd(h, k) == 1):
+                lead = ExactUnit(Fraction(-2 * n * h, k)) * I_POW_3_2
+                tail = chi_multiplier(h, k).inverse() * ExactUnit(
+                    Fraction(h - mod_inverse_pair(h, k)[0], 12 * k))
+                for t in (x for x in range(-half, half + 1) if x):
+                    unit = lead * u_theta_star(T, t, h, k) * tail
+                    scale, p, q = _base_phase(T, t, h, k, n)
+                    assert Fraction(p, q) == unit.angle and gcd(p, q) == 1
+                    assert scale == unit.scale
 
     def test_buckets_equal_partial_sums(self):
         # one pass over h gives kloosterman_partial bit for bit, for every
