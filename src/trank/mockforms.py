@@ -567,14 +567,14 @@ def _trial_at_decomposition(rng):
         * zwegers_a_tau(T * u, v + t * tau + (T - 1) / 2.0, T * tau, margin=1e-9)
         for t in range(T)
     )
-    # Lemma part (b): A_1 = theta * mu at the same point; report whichever
-    # of the two identities came out worse.
-    th = theta_tau(v, tau)
-    if abs(th) > 1e-6 and lattice_distance(v, tau) > 0.03:
-        a1 = zwegers_a_tau(u, v, tau)
-        product = th * mu_tau(u, v, tau, margin=0.02)
-        if _rel_err(a1, product) > _rel_err(lhs, rhs):
-            return a1, product, {"z": z, "T": T, "u": u, "v": v, "part": "b"}
+    # Lemma part (b) through Zwegers' symmetry mu(u, v) = mu(v, u), which
+    # sets A_1 at one point against A_1 at the swapped point; report
+    # whichever of the two identities came out worse.
+    if lattice_distance(v, tau) > 0.03:
+        mu_uv = mu_tau(u, v, tau, margin=0.02)
+        mu_vu = mu_tau(v, u, tau, margin=0.02)
+        if _rel_err(mu_uv, mu_vu) > _rel_err(lhs, rhs):
+            return mu_uv, mu_vu, {"z": z, "T": T, "u": u, "v": v, "part": "b"}
     return lhs, rhs, {"z": z, "T": T, "u": u, "v": v, "part": "a"}
 
 

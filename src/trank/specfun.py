@@ -19,6 +19,7 @@ All quadratures are deterministic for fixed inputs and tolerance.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -293,9 +294,10 @@ def _trapezoid_real_line(f, decay: float, growth: float, freq: float,
     """Truncated trapezoid of f over R.
 
     `decay` is the Gaussian rate s in e^(-s x^2), `growth` a linear rate
-    bounding |f|'s non-Gaussian part, `freq` the largest local oscillation
-    frequency scale, `strip` the analyticity strip half-width.  The
-    truncation point puts the envelope below e^(-50) relative to its peak;
+    bounding |f|'s non-Gaussian part (negative when that part decays),
+    `freq` the largest local oscillation frequency scale, `strip` the
+    analyticity strip half-width.  The truncation point puts the envelope
+    below e^(-50) relative to its value at x = 0;
     the step obeys both the strip bound and the oscillation rate, then is
     halved until two successive refinements agree to `tol` (or to the
     roundoff floor of the node sums, whichever is larger: a cancelling
@@ -303,7 +305,7 @@ def _trapezoid_real_line(f, decay: float, growth: float, freq: float,
     """
     if decay <= 0:
         raise ValueError("integrand lacks Gaussian decay on the real axis")
-    peak = growth * growth / (4.0 * decay)
+    peak = max(growth, 0.0) ** 2 / (4.0 * decay)
     if peak > 600.0:
         raise ValueError("integrand peak exceeds double-precision range")
     budget = 50.0 + extra_log
@@ -335,21 +337,45 @@ def mordell_h(w: complex, z: complex, tol: float = 1e-10) -> complex:
     The Gaussian factor decays only when Im z < 0; the transformation-law
     call sites all arrive in that half-plane (as -i times a right-half-plane
     quantity).  Tolerance is absolute, relative once |H| exceeds 1.
+
+    Re w is first brought into [-1/2, 1/2] by Zwegers' identity
+    h(v) + h(v + 1) = 2/sqrt(-i tau) e^(pi i (v + 1/2)^2 / tau) with
+    tau = -z (Mock theta functions, 2002, Prop. 1.2), that is
+    H(w) = 2/sqrt(i z) e^(-pi i (w -+ 1/2)^2 / z) - H(w -+ 1), upper sign
+    for Re w > 1/2.  On that strip the integrand is bounded by
+    2 e^(-decay x^2 - (pi - 2 pi |Re w|) |x|), so it peaks at x = 0 and
+    the trapezoid truncates at that true envelope.
     """
     w = complex(w)
     z = complex(z)
     decay = math.pi * (-z.imag)
     if decay <= 0:
         raise ValueError("mordell_h needs Im z < 0 for a decaying integrand")
+    if abs(w.real) > 1e4:
+        raise ValueError("mordell_h needs |Re w| <= 1e4")
+    closed = 0j
+    sign = 1.0
+    scale = 2.0 / cmath.sqrt(1j * z)
+    while abs(w.real) > 0.5:
+        half = 0.5 if w.real > 0 else -0.5
+        try:
+            term = scale * cmath.exp(-1j * math.pi * (w - half) ** 2 / z)
+        except OverflowError:
+            term = complex("inf")
+        if not cmath.isfinite(term):
+            raise ValueError("Mordell shift term overflows double range")
+        closed += sign * term
+        sign = -sign
+        w -= 2.0 * half
 
     def f(x):
         return np.exp(-1j * math.pi * x * x * z - 2.0 * math.pi * w * x) / np.cosh(
             math.pi * x
         )
 
-    growth = 2.0 * math.pi * abs(w.real) + math.pi  # cosh can only help
+    growth = 2.0 * math.pi * abs(w.real) - math.pi
     freq = math.pi * abs(z) * 2.0 + 2.0 * math.pi * abs(w.imag)
-    return _trapezoid_real_line(f, decay, growth, freq, strip=0.5, tol=tol)
+    return closed + sign * _trapezoid_real_line(f, decay, growth, freq, strip=0.5, tol=tol)
 
 
 def script_h(c: int, T: int, alpha, gamma: int, varrho, k: int, z: complex,

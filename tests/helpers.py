@@ -6,7 +6,10 @@ literal formula evaluation, independent of the package's series engine.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
+
+from trank.qseries import spt_oracle
 
 
 def partitions(n: int, cap: int | None = None):
@@ -40,6 +43,13 @@ def spt_direct(n: int) -> int:
         smallest = p[-1]
         total += p.count(smallest)
     return total
+
+
+@functools.cache
+def spt_oracle_upto(n_max: int) -> tuple[int, ...]:
+    """(spt_oracle(1), ..., spt_oracle(n_max)), enumerated once per process
+    however many tests compare against it."""
+    return tuple(spt_oracle(n) for n in range(1, n_max + 1))
 
 
 def rel_err(a: complex, b: complex) -> float:

@@ -263,3 +263,22 @@ class TestVerifySuites:
         pooled = verify_transformation("R_props", trials=6, tolerance=1e-8,
                                        seed=5, threads=3)
         assert serial.as_dict() == pooled.as_dict()
+
+    def test_at_decomposition_catches_a_wrong_prefactor(self, monkeypatch):
+        # e^(2 pi i T u) for e^(pi i T u) multiplies both sides of the level
+        # decomposition alike, so only the symmetry mu(u, v) = mu(v, u) of
+        # part (b) can see it
+        import trank.mockforms as mockforms
+
+        level_t = mockforms.zwegers_a_t_tau
+
+        def doubled_prefactor(T, u, *rest):
+            return cmath.exp(1j * math.pi * T * u) * level_t(T, u, *rest)
+
+        assert verify_transformation("AT_decomposition", trials=10,
+                                     tolerance=1e-8, seed=1).passed
+        monkeypatch.setattr(mockforms, "zwegers_a_t_tau", doubled_prefactor)
+        report = verify_transformation("AT_decomposition", trials=10,
+                                       tolerance=1e-8, seed=1)
+        assert not report.passed
+        assert {f["inputs"]["part"] for f in report.failures} == {"b"}

@@ -206,6 +206,43 @@ class TestMordellH:
         with pytest.raises(ValueError):
             mordell_h(0.0, 1.0 + 1.0j)
 
+    @pytest.mark.parametrize("w, z", [(40.0, -0.01j), (1e17, -1e40j)])
+    def test_unreducible_w_raises(self, w, z):
+        # a shift term e^(pi 39.5^2 / 0.01) past double range, and an Re w
+        # so large that w - 1 == w in floating point
+        with pytest.raises(ValueError):
+            mordell_h(w, z)
+
+    # |Re w| in (1/2, 3/2] and decay pi |Im z| in [0.05, 0.3], where the
+    # unreduced integrand peaks far above |H|.  The first two are the l = 0
+    # integrals of `verify` prop_4_2 at seed 12 (trial 32) and seed 10
+    # (trial 6), which a quadrature of the unreduced integrand left at
+    # 1.4e-13 and 1.2e-14.
+    FAR_STRIP = [
+        (0.8564577243143674 - 0.6232051373923185j,
+         0.01862615687691127 - 0.06879538603574381j),
+        (0.7787837951201662 + 0.7454597083215068j,
+         -0.029623809308079316 - 0.08354124739624888j),
+        (-0.9 - 0.2j, -0.05 - 0.02j),
+        (1.05 + 0.25j, 0.12 - 0.04j),
+        (-1.45 - 0.3j, -0.1 - 0.09j),
+    ]
+
+    @pytest.mark.parametrize("w, z", FAR_STRIP)
+    def test_far_strip_against_mpmath(self, w, z):
+        # 30-digit quadrature of the unreduced integrand, truncated where
+        # its envelope 2 e^(-decay x^2 + (2 pi |Re w| - pi)|x|) is below e^(-82)
+        decay = -math.pi * z.imag
+        growth = 2.0 * math.pi * abs(w.real) - math.pi
+        cut = (growth + math.sqrt(growth * growth + 4.0 * decay * 82.0)) / (2.0 * decay)
+        with mp.workdps(30):
+            wm, zm = mp.mpc(w), mp.mpc(z)
+            ref = complex(mp.quad(
+                lambda x: mp.exp(-1j * mp.pi * x * x * zm - 2 * mp.pi * wm * x)
+                / mp.cosh(mp.pi * x),
+                mp.linspace(-cut, cut, int(cut / 2.0) + 2)))
+        assert rel_err(mordell_h(w, z, tol=1e-12), ref) <= 1e-14
+
 
 class TestScriptH:
     def test_odd_integrand_vanishes(self):
