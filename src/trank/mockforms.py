@@ -45,8 +45,9 @@ def _require_upper(tau: complex) -> complex:
     return tau
 
 
-def _gaussian_window(im_tau: float, center: float = 0.0) -> tuple[int, int]:
-    w = math.sqrt(55.0 / (math.pi * im_tau)) + 2.0
+def _gaussian_window(im_tau: float, center: float = 0.0,
+                     budget: float = 55.0) -> tuple[int, int]:
+    w = math.sqrt(budget / (math.pi * im_tau)) + 2.0
     return int(math.floor(center - w)), int(math.ceil(center + w))
 
 
@@ -150,6 +151,22 @@ def mu_tau(u: complex, v: complex, tau: complex,
     if abs(th) < 1e-13:
         raise ValueError("theta denominator below 1e-13; v too close to a zero")
     return zwegers_a_tau(u, v, tau, margin) / th
+
+
+def _mu_tau_mp(u, v, tau, mp):
+    """`mu_tau` in the precision of the mpmath context `mp`, both sums
+    taken over windows that reach e^-80 of their largest term.  The
+    lattice guards are the caller's."""
+    u, v, tau = mp.mpc(u), mp.mpc(v), mp.mpc(tau)
+    lo, hi = _gaussian_window(float(tau.imag), -float(v.imag / tau.imag), budget=80.0)
+    theta_sum = mp.fsum(mp.expjpi((m + 0.5) ** 2 * tau + (2 * m + 1) * (v + 0.5))
+                        for m in range(lo, hi + 1))
+    span = int(float((abs(u.imag) + abs(v.imag)) / tau.imag)) + 1
+    lo, hi = _gaussian_window(float(tau.imag), budget=80.0)
+    q, eu = mp.expjpi(2 * tau), mp.expjpi(2 * u)
+    a_sum = mp.fsum((-1) ** n * mp.expjpi(n * (n + 1) * tau + 2 * n * v) / (1 - eu * q**n)
+                    for n in range(lo - span, hi + span + 1))
+    return mp.expjpi(u) * a_sum / theta_sum
 
 
 def r_tau(w: complex, tau: complex, tol: float = 1e-14) -> complex:
@@ -622,15 +639,37 @@ def _trial_prop_4_2(rng):
                        - t * t * math.pi * z / (T * k)))
     tau_mu = (g / k) * (inv2 + 1j / (gco * z))
     v_mu = (rho / (gco * k)) * (inv2 + 1j / (gco * z)) - t / (gco * k) * (1 + gco * h * inv2)
-    mu_term = (u_mu(T, t, gco * h, kg).to_complex()
-               * mu_tau(1j * u * T / (gco * z), v_mu, tau_mu, margin=1e-9))
+    unit = u_mu(T, t, gco * h, kg)
+    u_mu_arg = 1j * u * T / (gco * z)
+    mu_term = unit.to_complex() * mu_tau(u_mu_arg, v_mu, tau_mu, margin=1e-9)
+    w_0 = u_mu_arg - rho * 1j / (gco * gco * k * z)
+    z_h = -1j * T / (gco * gco * k * z)
     h_sum = 0j
     for l in range(kg):
-        w_l = (1j * u * T / (gco * z) - rho * 1j / (gco * gco * k * z)
-               - float(alpha_shift(T, t, l, kg)))
         h_sum += (u_h(T, t, l, gco * h, kg).to_complex()
-                  * mordell_h(w_l, -1j * T / (gco * gco * k * z), tol=1e-12))
-    rhs = pre * (mu_term + 0.5j / math.sqrt(kg) * h_sum)
+                  * mordell_h(w_0 - float(alpha_shift(T, t, l, kg)), z_h, tol=1e-12))
+    h_part = 0.5j / math.sqrt(kg) * h_sum
+    total = mu_term + h_part
+    if abs(mu_term) > 1e6 * abs(total):
+        # The halves cancel by more than 1e6, which amplifies mu's
+        # double-precision error (up to 2e-15) past 1e-10 in the sum.  Take
+        # the mu half and the sum in 32 digits, at the (u, z) whose Mordell
+        # arguments are exactly the doubles w_0 and z_h: the rounding of
+        # those then moves both halves alike and cancels with them.  H stays
+        # in double.
+        import mpmath
+
+        mp = mpmath.MPContext()  # its own precision: trials may run in threads
+        mp.dps = 32
+        i_over = -gco * k * mp.mpc(z_h) / T  # i / (gco z)
+        tau_mp = mp.mpf(g) / k * (inv2 + i_over)
+        v_mp = (mp.mpf(rho) / (gco * k) * (inv2 + i_over)
+                - mp.mpf(t) / (gco * k) * (1 + gco * h * inv2))
+        u_mp = mp.mpc(w_0) - rho * mp.mpc(z_h) / T
+        angle = mp.mpf(unit.angle.numerator) / unit.angle.denominator
+        total = complex(unit.scale * mp.expjpi(angle) * _mu_tau_mp(u_mp, v_mp, tau_mp, mp)
+                        + h_part)
+    rhs = pre * total
     return lhs, rhs, {"h": h, "k": k, "z": z, "T": T, "t": t, "u": u}
 
 

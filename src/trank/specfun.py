@@ -289,19 +289,28 @@ def gauss_error(x: float) -> float:
 # Quadratures
 # ---------------------------------------------------------------------------
 
-def _trapezoid_real_line(f, decay: float, growth: float, freq: float,
-                         strip: float, tol: float, extra_log: float = 0.0):
-    """Truncated trapezoid of f over R.
+def _trapezoid_real_line(f, decay: float, growth: float, strip: float, chirp: float,
+                         slope: float, tol: float, extra_log: float = 0.0):
+    """Truncated trapezoid of f over R, for f with a 1/cosh factor.
 
-    `decay` is the Gaussian rate s in e^(-s x^2), `growth` a linear rate
-    bounding |f|'s non-Gaussian part (negative when that part decays),
-    `freq` the largest local oscillation frequency scale, `strip` the
-    analyticity strip half-width.  The truncation point puts the envelope
-    below e^(-50) relative to its value at x = 0;
-    the step obeys both the strip bound and the oscillation rate, then is
-    halved until two successive refinements agree to `tol` (or to the
-    roundoff floor of the node sums, whichever is larger: a cancelling
-    integrand cannot do better in fixed precision).
+    On the real axis |f| is bounded by the envelope
+    2 e^(extra_log - decay x^2 + growth |x|) (`growth` is negative when
+    the non-Gaussian part decays).  f is analytic in the strip
+    |Im x| < `strip`, whose edge is a pole of the 1/cosh factor, and on the
+    line Im x = +-y it exceeds that envelope by at most
+    e^(chirp y^2 + slope y) / sin(pi (strip - y)); for a Gaussian
+    e^(-c x^2) the chirp is |c|^2 / Re c.
+
+    The truncation point puts the envelope below e^(-50) relative to its
+    value at x = 0.  The first step is the largest that the strip bound
+    2M / (e^(2 pi a / h) - 1) <= tol allows (Trefethen and Weideman, "The
+    exponentially convergent trapezoidal rule", SIAM Review 2014,
+    Thm 5.1), over a grid of a in (0, strip); M is the growth at
+    |Im x| = a times 4 sqrt(pi / decay) e^(peak + extra_log), which bounds
+    the envelope's integral.  The step is then halved until two successive
+    refinements agree to `tol` (or to the roundoff floor of the node sums,
+    whichever is larger: a cancelling integrand cannot do better in fixed
+    precision).
     """
     if decay <= 0:
         raise ValueError("integrand lacks Gaussian decay on the real axis")
@@ -310,7 +319,10 @@ def _trapezoid_real_line(f, decay: float, growth: float, freq: float,
         raise ValueError("integrand peak exceeds double-precision range")
     budget = 50.0 + extra_log
     cut = (growth + math.sqrt(growth * growth + 4.0 * decay * budget)) / (2.0 * decay)
-    step = min(0.1, 0.9 * strip / 4.5, 1.0 / (6.0 * (1.0 + freq * cut)))
+    log_bound = math.log(8.0 / tol * math.sqrt(math.pi / decay)) + peak + extra_log
+    step = max(2.0 * math.pi * a / (log_bound + chirp * a * a + slope * a
+                                    - math.log(math.sin(math.pi * (strip - a))))
+               for a in (strip * j / 16.0 for j in range(1, 16)))
     prev = None
     for _ in range(10):
         m = int(math.ceil(cut / step))
@@ -344,7 +356,10 @@ def mordell_h(w: complex, z: complex, tol: float = 1e-10) -> complex:
     H(w) = 2/sqrt(i z) e^(-pi i (w -+ 1/2)^2 / z) - H(w -+ 1), upper sign
     for Re w > 1/2.  On that strip the integrand is bounded by
     2 e^(-decay x^2 - (pi - 2 pi |Re w|) |x|), so it peaks at x = 0 and
-    the trapezoid truncates at that true envelope.
+    the trapezoid truncates at that true envelope.  Its step comes from the
+    strip |Im x| < 1/2, on whose lines Im x = +-y the chirp e^(-pi i x^2 z)
+    grows by e^(pi y^2 |z|^2 / |Im z|) and e^(-2 pi w x) by
+    e^(2 pi |Im w| y).
     """
     w = complex(w)
     z = complex(z)
@@ -374,8 +389,9 @@ def mordell_h(w: complex, z: complex, tol: float = 1e-10) -> complex:
         )
 
     growth = 2.0 * math.pi * abs(w.real) - math.pi
-    freq = math.pi * abs(z) * 2.0 + 2.0 * math.pi * abs(w.imag)
-    return closed + sign * _trapezoid_real_line(f, decay, growth, freq, strip=0.5, tol=tol)
+    return closed + sign * _trapezoid_real_line(
+        f, decay, growth, strip=0.5, chirp=math.pi * abs(z) ** 2 / -z.imag,
+        slope=2.0 * math.pi * abs(w.imag), tol=tol)
 
 
 def script_h(c: int, T: int, alpha, gamma: int, varrho, k: int, z: complex,
@@ -402,7 +418,6 @@ def script_h(c: int, T: int, alpha, gamma: int, varrho, k: int, z: complex,
         raise ValueError("script_h needs Re(1/z) > 0")
     rate = math.pi * T / (gamma * gamma * k)
     decay = rate * inv_z.real
-    freq = rate * abs(inv_z.imag) * 2.0 + math.pi
 
     def f(x):
         xi = x + 1j * rho
@@ -410,9 +425,12 @@ def script_h(c: int, T: int, alpha, gamma: int, varrho, k: int, z: complex,
             math.pi * xi
         )
 
-    growth = 2.0 * math.pi * abs(alpha) + math.pi
-    extra = c * math.log(2.0 + abs(alpha) / max(decay, 1e-12) + 1.0 / max(decay, 1e-12))
-    return _trapezoid_real_line(f, decay, growth, freq, strip=0.5 - abs(rho),
+    # |cosh(pi (x + i rho))| >= cos(pi rho) cosh(pi x) >= cos(pi rho) e^(pi |x|) / 2
+    growth = 2.0 * math.pi * abs(alpha) - math.pi
+    extra = (c * math.log(2.0 + abs(alpha) / max(decay, 1e-12) + 1.0 / max(decay, 1e-12))
+             - math.log(math.cos(math.pi * rho)))
+    return _trapezoid_real_line(f, decay, growth, strip=0.5 - abs(rho),
+                                chirp=rate * abs(inv_z) ** 2 / inv_z.real, slope=0.0,
                                 tol=tol, extra_log=extra)
 
 

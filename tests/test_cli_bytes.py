@@ -5,13 +5,17 @@ the code behind it, so refactors keep every output byte.  A second group checks 
 argument parser or the library rejects it, ends with exit status 2 and a
 single `error:` line on stderr, never a usage block or a traceback.
 
-One hash, `verify --trials 6 --seed 1`, was re-recorded after two
-numerical changes moved three of its `max_rel_err` fields and nothing
-else.  The Mordell integral is now taken on its reduced strip
-|Re w| <= 1/2, which makes it more accurate: prop_4_2 8.881e-11 ->
-6.800e-11 and R_composite 2.635e-15 -> 1.811e-15.  AT_decomposition
-part (b) now checks Zwegers' symmetry mu(u, v) = mu(v, u) in place of a
-round trip through A / theta, and reports 7.355e-16 -> 1.075e-15.
+One hash, `verify --trials 6 --seed 1`, has been re-recorded after
+numerical changes that moved some of its `max_rel_err` fields and
+nothing else.  The Mordell integral taken on its reduced strip
+|Re w| <= 1/2 moved prop_4_2 8.881e-11 -> 6.800e-11 and R_composite
+2.635e-15 -> 1.811e-15; AT_decomposition part (b) checking Zwegers'
+symmetry mu(u, v) = mu(v, u), in place of a round trip through A / theta,
+moved it 7.355e-16 -> 1.075e-15.  The trapezoid step of the Mordell
+integral taken from its analyticity strip, in place of an oscillation
+rate, moved prop_4_2 6.800e-11 -> 6.735e-11 and R_composite
+1.811e-15 -> 1.140e-15, while H still matches 30-digit mpmath to 1e-14
+(tests/test_specfun.py).
 """
 
 import hashlib
@@ -44,7 +48,7 @@ BYTES = {
     "verify --case eta --trials 8 --seed 3":
         "552a36886c34c2930299ef2b42fc9b1bc7b983367699250d5a2f5b18956a2055",
     "verify --trials 6 --seed 1":
-        "7b7c3754b316c79c17a464839edca52505e08f7490955b952aae4c4100b60a81",
+        "c042158e7eaf3d33b8b090c9ba0c2066e1a0c1d470aa8fdfdd18f4abd31c5702",
 }
 
 INVALID = [

@@ -1,9 +1,13 @@
 import cmath
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import trank.mockforms as mockforms
 from trank.mockforms import (
     EvaluationPoint,
     VERIFICATION_CASES,
@@ -248,6 +252,38 @@ class TestVerifySuites:
             report = verify_transformation(case, trials=10, tolerance=1e-10,
                                            seed=seed)
             assert report.passed, (case, seed, report.max_rel_err)
+
+    def test_prop_4_2_cancelling_trial(self):
+        # trial 6 of seed 10: the mu half and the Mordell half are both about
+        # 0.10 and cancel by 6.3e7, which leaves the identity at 8.7e-8 when
+        # both halves are taken in double, against the 1e-7 tolerance
+        rng = random.Random("prop_4_2|10|6")
+        lhs, rhs, inputs = mockforms._trial_prop_4_2(rng)
+        assert {key: inputs[key] for key in ("T", "h", "k", "t")} == \
+            {"T": 13, "h": 3, "k": 4, "t": 4}
+        assert rel_err(lhs, rhs) <= 2e-8
+        report = verify_transformation("prop_4_2", trials=35, tolerance=1e-7, seed=10)
+        assert report.max_rel_err <= 2e-8
+
+    @pytest.mark.parametrize("case", ("prop_4_2", "R_composite"))
+    def test_mordell_cases_succeed_on_first_draw(self, case):
+        # every trial of the benchmark's verify requests (seeds 1-12 with
+        # 30, 35, 40, 45, 30, ... trials) returns on its first draw, so a
+        # quadrature that starts raising cannot hide behind a redraw
+        for seed in range(1, 13):
+            for i in range((30, 35, 40, 45)[(seed - 1) % 4]):
+                mockforms._TRIALS[case](random.Random(f"{case}|{seed}|{i}"))
+
+    def test_import_leaves_mpmath_unloaded(self):
+        # only the cancelling prop_4_2 trials load mpmath, on first use
+        code = "import sys, trank, trank.cli; print('mpmath' in sys.modules)"
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, env=env).stdout
+        assert out.strip() == "False"
 
     def test_unknown_case(self):
         with pytest.raises(ValueError):

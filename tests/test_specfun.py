@@ -15,6 +15,7 @@ import pytest
 from trank.errors import ConvergenceError
 from trank.specfun import (
     IntegralParams,
+    _trapezoid_real_line,
     bernoulli_half,
     bernoulli_number,
     bessel_i,
@@ -243,8 +244,94 @@ class TestMordellH:
                 mp.linspace(-cut, cut, int(cut / 2.0) + 2)))
         assert rel_err(mordell_h(w, z, tol=1e-12), ref) <= 1e-14
 
+    # Nodes each FAR_STRIP point takes at tol=1e-12 with the strip-bound
+    # step; the oscillation-rate step took 19,014, 22,658, 12,734, 11,984
+    # and 16,452.
+    FAR_STRIP_NODES = [786, 792, 1034, 828, 894]
+
+    @pytest.mark.parametrize("point, nodes", zip(FAR_STRIP, FAR_STRIP_NODES))
+    def test_far_strip_node_count(self, point, nodes, monkeypatch):
+        seen = _spy_trapezoid(monkeypatch)
+        mordell_h(*point, tol=1e-12)
+        assert seen["nodes"] <= nodes
+
+    # Chirped points, |Re z| >= 5 |Im z|, where e^(-pi i x^2 z) oscillates
+    # many times across the envelope and grows by e^(pi y^2 |z|^2 / |Im z|)
+    # off the axis; five of the eight need the shift to |Re w| <= 1/2.
+    # A `verify` round only reaches |Re z| <= 2 |Im z|, so the last three
+    # are its calls with the largest such growth, the largest |Im w| and
+    # the largest |Re z| / |Im z| (prop_4_2 seed 12 trial 17, seed 3 trial
+    # 19 and seed 4 trial 1).
+    CHIRPED = [
+        (-1.3 + 0.05j, 3.0 - 0.5j),
+        (0.8 - 0.4j, -0.6 - 0.06j),
+        (0.3 + 0.2j, 0.5 - 0.1j),
+        (-0.45 - 0.1j, -1.2 - 0.2j),
+        (0.1 + 0.6j, 2.0 - 0.3j),
+        (-2.13223994534995 + 1.4710343400578576j, 1.6105328496356652 - 4.1086787763834405j),
+        (1.6018511791598566 + 3.0020754593300216j, -1.4305569557693076 - 1.9061888434823677j),
+        (0.5837392682367941 + 0.34136501484565085j, -0.05000755633956216 - 0.02663026268725473j),
+    ]
+
+    @pytest.mark.parametrize("w, z", CHIRPED)
+    def test_chirped_against_mpmath(self, w, z):
+        # 30-digit quadrature of the unreduced integrand on panels that
+        # each span about 15 radians of its fastest phase
+        decay = -math.pi * z.imag
+        growth = 2.0 * math.pi * abs(w.real) - math.pi
+        cut = (growth + math.sqrt(growth * growth + 4.0 * decay * 82.0)) / (2.0 * decay)
+        phase = 2.0 * math.pi * (abs(z.real) * cut + abs(w.imag)) * cut
+        with mp.workdps(30):
+            wm, zm = mp.mpc(w), mp.mpc(z)
+            ref = complex(mp.quad(
+                lambda x: mp.exp(-1j * mp.pi * x * x * zm - 2 * mp.pi * wm * x)
+                / mp.cosh(mp.pi * x),
+                mp.linspace(-cut, cut, int(phase / 15.0) + 2)))
+        err = abs(mordell_h(w, z, tol=1e-12) - ref)
+        if abs(ref) >= 1e-2:
+            assert err <= 1e-14 * abs(ref)
+        else:
+            assert err <= 1e-16
+
+
+def _spy_trapezoid(monkeypatch):
+    """Count the nodes at which `_trapezoid_real_line` evaluates its
+    integrands, and the farthest |x| among them."""
+    seen = {"nodes": 0, "reach": 0.0}
+
+    def spy(f, *args, **kwargs):
+        def counted(xs):
+            seen["nodes"] += len(xs)
+            seen["reach"] = max(seen["reach"], float(np.abs(xs).max()))
+            return f(xs)
+        return _trapezoid_real_line(counted, *args, **kwargs)
+
+    monkeypatch.setattr("trank.specfun._trapezoid_real_line", spy)
+    return seen
+
 
 class TestScriptH:
+    # The 1/cosh(pi (x + i rho)) factor decays like e^(-pi |x|) / cos(pi rho):
+    # bounded at that rate the envelope reaches e^-50 at 4.8 and 5.9, where
+    # a bound that made it grow like e^(pi |x|) cut at 6.7 and 8.5.
+    ENVELOPE_CUTS = [
+        ((0, 5, 0.3, 5, 0.2, 1, 0.3 + 0.1j), 5.0),
+        ((2, 13, -0.4, 13, 0.1, 3, 0.05 + 0.02j), 6.0),
+    ]
+
+    @pytest.mark.parametrize("args, reach", ENVELOPE_CUTS)
+    def test_envelope_cut_against_mpmath(self, args, reach, monkeypatch):
+        c, T, alpha, gamma, rho, k, z = args
+        with mp.workdps(30):
+            rate = mp.pi * T / (gamma * gamma * k)
+            ref = complex(mp.quad(
+                lambda x: x**c * mp.exp(-rate / mp.mpc(z) * x * x + 2 * mp.pi * alpha * x)
+                / mp.cosh(mp.pi * (x + 1j * rho)),
+                mp.linspace(-12, 12, 49)))
+        seen = _spy_trapezoid(monkeypatch)
+        assert rel_err(script_h(*args, tol=1e-12), ref) <= 1e-14
+        assert seen["reach"] < reach
+
     def test_odd_integrand_vanishes(self):
         assert abs(script_h(1, 5, 0.0, 5, 0.0, 1, 0.3 + 0.1j)) < 1e-11
         assert abs(script_h(3, 3, 0.0, 1, 0.0, 2, 0.5)) < 1e-11
