@@ -154,7 +154,7 @@ def theorem_a_main(query: AsymptoticQuery) -> TermBreakdown:
     integral is evaluated.
 
     The Mordell part is assembled in three passes: the partial Kloosterman
-    sums of each (gamma, k, t) from one pass over h, bucketed by varrho;
+    sums of each (gamma, k) from one pass over h, bucketed by t and varrho;
     the Bessel integrals of each (k, varrho, c, d) group over all of its
     alphas at once, each alpha a float that its row reaches by index; then
     the terms, summed in (gamma, k, t, varrho, l, a, b, c) order, with the
@@ -164,14 +164,14 @@ def theorem_a_main(query: AsymptoticQuery) -> TermBreakdown:
     out = TermBreakdown(query=query)
     mu_acc = 0j
     root = math.pi * math.sqrt(24.0 * n - 1.0) / 6.0
+    coefs = [(a, b, c, kappa(a, b, c).to_float()) for (a, b, c) in kappa_support(r)]
     for k in range(1, query.cap + 1):
         kv = kloosterman_sum(k, n).value
         if kv == 0:
             continue
-        for (a, b, c) in kappa_support(r):
-            coef = kappa(a, b, c)
+        for a, b, c, coef in coefs:
             term = (2.0 * math.pi * kv / k
-                    * coef.to_float() * (k * T) ** a
+                    * coef * (k * T) ** a
                     * (24.0 * n - 1.0) ** (-0.75 + a / 2.0 + c)
                     * bessel_i(Fraction(-3 + 2 * a + 4 * c, 2), root / k))
             mu_acc += term
@@ -190,13 +190,10 @@ def theorem_a_main(query: AsymptoticQuery) -> TermBreakdown:
             if gcd(T, k) != gamma:
                 continue
             K = k // gamma
-            for t in range(-half, half + 1):
-                if t == 0:
-                    continue
-                out.dropped_terms += (T - len(gated)) * K * len(abc)
-                if not gated:
-                    continue
-                partials = kloosterman_partials(T, t, k, n, gated)
+            out.dropped_terms += (T - 1) * (T - len(gated)) * K * len(abc)
+            if not gated:
+                continue
+            for t, partials in kloosterman_partials(T, k, n, gated).items():
                 for rho in gated:
                     if partials[rho][0].is_empty:
                         continue

@@ -31,9 +31,6 @@ import numpy as np
 
 from .errors import ConvergenceError
 
-_MAX_BESSEL_ORDER = Fraction(51, 2)
-
-
 # ---------------------------------------------------------------------------
 # Exact rational coefficients
 # ---------------------------------------------------------------------------
@@ -177,13 +174,18 @@ def _bessel_closed(two_nu: int, x):
     raise ValueError(f"no closed form wired for order {two_nu}/2")
 
 
-def _bessel_miller(n: int, x, extra: int):
-    """I_{n+1/2}(x) by downward recurrence normalized at I_{1/2}."""
-    top = n + extra
+def _bessel_miller(n: int, x, tops):
+    """I_{n+1/2}(x) by downward recurrence normalized at I_{1/2}; row j of
+    the 2-D x starts at order tops[j] + 1/2, and every element's arithmetic
+    is that of a one-row call with its row's start."""
+    starts = {top: tops == top for top in set(tops.tolist())}
     fp = np.zeros_like(x)
     fc = np.full_like(x, 1e-280)
     target = None
-    for m in range(top, 0, -1):
+    for m in range(int(tops.max()), 0, -1):
+        if m in starts:
+            fp[starts[m]] = 0.0
+            fc[starts[m]] = 1e-280
         # step from order m+1/2 to m-1/2
         fm = fp + ((2 * m + 1) / x) * fc
         fp, fc = fc, fm
@@ -196,7 +198,15 @@ def _bessel_miller(n: int, x, extra: int):
             fc = fc * scale
             if target is not None:
                 target = target * scale
-    return target * _bessel_closed(1, x) / fc
+    closed = _bessel_closed(1, x)
+    out = target * closed / fc
+    wide = ~np.isfinite(out)
+    if wide.any():
+        # a row spanning a wide range starts every x at the depth of its
+        # largest, so at a small x the product can pass double range
+        # though the ratio target / fc is below 1
+        out = np.where(wide, target / fc * closed, out)
+    return out
 
 
 def _bessel_k_half(n: int, x):
@@ -213,19 +223,27 @@ def _bessel_positive(n: int, x):
 
     The start order must clear both the target order and x itself: the
     wanted (minimal) solution only starts dominating the recurrence once
-    the order exceeds the argument.
+    the order exceeds the argument.  Each row of a 2-D x (a 1-D or scalar
+    x is one row) starts at depth 24 + int(1.2 max(row)) and passes its
+    own doubling test, so row j of the result is bit-identical to a call
+    on x[j] alone.
     """
-    base = 24 + int(1.2 * float(np.max(x)))
+    rows = x.reshape(-1, x.shape[-1]) if x.ndim else x.reshape(1, 1)
+    depth = n + 24 + (1.2 * rows.max(axis=1)).astype(int)
+    out = np.empty_like(rows)
+    pending = np.arange(len(rows))
     prev = None
-    for extra in (base, base + 40, base + 120):
-        out = _bessel_miller(n, x, extra)
-        if not np.isfinite(out).all():
-            return out  # past double range, which `bessel_i` reports
-        if prev is not None and np.all(
-            np.abs(out - prev) <= 1e-13 * np.maximum(np.abs(out), 1e-300)
-        ):
-            return out
-        prev = out
+    for extra in (0, 40, 120):
+        vals = _bessel_miller(n, rows[pending], depth[pending] + extra)
+        # past double range, which `bessel_i` reports
+        done = ~np.isfinite(vals).all(axis=1)
+        if prev is not None:
+            done |= np.all(np.abs(vals - prev) <= 1e-13 * np.maximum(np.abs(vals), 1e-300),
+                           axis=1)
+        out[pending[done]] = vals[done]
+        pending, prev = pending[~done], vals[~done]
+        if not len(pending):
+            return out.reshape(x.shape)
     raise ConvergenceError("Miller recurrence failed to stabilize")
 
 
@@ -246,12 +264,13 @@ def bessel_i(order, x):
     cancellation); larger positive orders use a normalized downward Miller
     recurrence, larger negative orders the K-connection split.  Relative
     accuracy 1e-10 for |order| <= 31/2 and x in [1e-3, 200], away from the
-    zeros of the negative-order functions.  A value past double range
-    (x above about 710) raises `ValueError` rather than returning inf or
-    nan.
+    zeros of the negative-order functions, and 1e-15 on (200, 700].  Row j
+    of a 2-D x is bit-identical to `bessel_i(order, x[j])`.  A value past
+    double range (x above about 710) raises `ValueError` rather than
+    returning inf or nan.
     """
     two_nu = _as_half_integer(order)
-    if abs(Fraction(two_nu, 2)) > _MAX_BESSEL_ORDER:
+    if abs(two_nu) > 51:
         raise ValueError(f"order {two_nu}/2 outside supported band")
     scalar = np.isscalar(x) or getattr(x, "ndim", 0) == 0
     xs = np.asarray(x, dtype=float)
@@ -506,13 +525,16 @@ def bessel_integrals(params: IntegralParams, alphas, tol: float = 1e-9) -> list[
     """`bessel_integral` at each alpha in `alphas`, the rest of `params` fixed
     (`params.alpha` itself is not used).
 
-    Only the factor e^(2 pi lam alpha x) depends on alpha, so each panel's
-    nodes and alpha-free factors, the Bessel values among them, are
-    evaluated once per panel count and shared.  At each panel count every
-    alpha not yet converged is evaluated at once, one (pending alpha x 24)
-    array per panel; each alpha accumulates its panels in order and keeps
-    its own doubling test, and leaves the pending set when that passes, so
-    every value is bit-identical to a one-alpha call.
+    Only the factor e^(2 pi lam alpha x) depends on alpha, so the nodes
+    and alpha-free factors, the Bessel values among them, are evaluated
+    once per panel count and shared.  At each panel count every alpha not
+    yet converged is evaluated at once, one (pending alpha x panels x 24)
+    array with one `bessel_i` call; each node's value is the same
+    product, in the same order, as in a one-panel array, `bessel_i` gives
+    each panel's row its own Miller start, and each alpha accumulates its
+    panel sums in panel order and keeps its own doubling test, leaving the
+    pending set when that passes.  So every value is bit-identical to a
+    one-alpha call, and to evaluating the panels one by one.
     """
     lam = params.lam
     rho = float(params.varrho)
@@ -532,19 +554,24 @@ def bessel_integrals(params: IntegralParams, alphas, tol: float = 1e-9) -> list[
         if panels > 512:  # nine doublings from 2
             raise ConvergenceError("panel doubling did not converge for bessel_integral")
         edges = np.linspace(-1.0, 1.0, panels + 1)
-        total = np.zeros(len(pending), dtype=complex)
-        magnitude = np.zeros(len(pending))
-        for a, b in zip(edges[:-1], edges[1:]):
-            mid, rad = (a + b) / 2.0, (b - a) / 2.0
-            x = mid + rad * nodes
-            one_minus = 1.0 - x * x
-            base = (lam * x) ** c if c else 1.0
-            vals = weights * (base * np.exp(slopes[pending, None] * x)
-                              * one_minus**half_exp
-                              * bessel_i(order, arg_scale * np.sqrt(one_minus))
-                              / np.cosh(math.pi * (lam * x + 1j * rho)))
-            total += rad * vals.sum(axis=1)
-            magnitude += rad * np.abs(vals).sum(axis=1)
+        a, b = edges[:-1], edges[1:]
+        mid, rad = (a + b) / 2.0, (b - a) / 2.0
+        x = mid[:, None] + rad[:, None] * nodes  # one row per panel
+        one_minus = 1.0 - x * x
+        # weights * ((lam x)^c * e^(slope x) * (1 - x^2)^e * I / cosh), each
+        # product in this order, in place on the (alpha x panel x node) array
+        vals = np.exp(slopes[pending, None, None] * x)
+        if c:
+            np.multiply((lam * x) ** c, vals, out=vals)
+        vals *= one_minus**half_exp
+        vals *= bessel_i(order, arg_scale * np.sqrt(one_minus))
+        vals = vals / np.cosh(math.pi * (lam * x + 1j * rho))
+        np.multiply(weights, vals, out=vals)
+        # each panel's rad * row sum, added in panel order: cumsum is
+        # sequential, and "+ 0.0" turns a -0.0 total into the +0.0 that a
+        # sum started from zero gives
+        total = np.cumsum(rad * vals.sum(axis=2), axis=1)[:, -1] + 0.0
+        magnitude = np.cumsum(rad * np.abs(vals).sum(axis=2), axis=1)[:, -1]
         if prev is not None:
             done = np.abs(total - prev) <= np.maximum(tol * np.abs(total), 1e-14 * magnitude)
             for i, value in zip(pending[done], total[done]):

@@ -6,13 +6,14 @@ with mixed denominators (4, 12, k, T, ...).  Accumulating those phases in
 floating point destroys the cancellation that Kloosterman sums live on, so
 every multiplier here is an `ExactUnit`: a nonnegative real scale times
 e^(i pi angle) with the angle kept as an exact `Fraction` modulo 2.  The
-partial Kloosterman sums of the Mordell part build no `Fraction` at all
-(`partial_phases`): the l-free base angle of each h is one integer
-numerator over L = 12 T gamma_co k, reduced by `gcd` (every factor's
-denominator, 4, 12, k, 4k, 12k, gamma_co k or gamma_co T k, divides L),
-and the l-dependent part is an integer numerator over a common multiple
-of that; both equal, as rationals, the `Fraction` angle of the same unit
-product.
+Kloosterman sums K_k(n) (`kloosterman_sum`: one integer numerator over
+12k per h) and the partial Kloosterman sums of the Mordell part build no
+`Fraction` at all (`partial_phases`): the l-free base angle of each h is
+one integer numerator over L = 12 T gamma_co k, reduced by `gcd` (every
+factor's denominator, 4, 12, k, 4k, 12k, gamma_co k or gamma_co T k,
+divides L), and the l-dependent part is an integer numerator over a
+common multiple of that; both equal, as rationals, the `Fraction` angle
+of the same unit product.
 The only lossy step is the final conversion to `complex`.
 """
 
@@ -256,6 +257,8 @@ class KloostermanValue:
 
 
 def _kloosterman_units(k: int, n: int) -> list[ExactUnit]:
+    """The summands of K_k(n) as `ExactUnit` products, in ascending h: the
+    `Fraction` oracle for `kloosterman_sum`'s integer phases."""
     units = []
     prefactor = ExactUnit.minus_one_pow(1) * I_POW_3_2
     for h in range(k) if k > 1 else [0]:
@@ -271,24 +274,26 @@ def _kloosterman_units(k: int, n: int) -> list[ExactUnit]:
 
 
 def kloosterman_sum(k: int, n: int) -> KloostermanValue:
-    """K_k(n), assembled from exact unit summands.
+    """K_k(n), summed in ascending h.
 
-    Each summand's phase is a single reduced rational before the one
-    float conversion; K_1(n) = 1 holds exactly in the angle arithmetic.
+    Each summand -i^(3/2) e(-2nh/k) e((h - [h]_k)/(12k)) chi(h, k)^-1 is
+    e^(i pi N/(12k)) with the one integer numerator
+    N = (21k - 24nh + h - [h]_k - k chi12) mod 24k, chi12 = 12 times chi's
+    angle (`_chi_twelfths`); N/(12k) is, as a rational, the reduced
+    `Fraction` angle of the same `ExactUnit` product (`_kloosterman_units`),
+    so both give the same float.  K_1(n) = 1 exactly (N = 0).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    units = _kloosterman_units(k, n)
-    return KloostermanValue(
-        k=k, n=n, value=sum(u.to_complex() for u in units), terms=len(units)
-    )
+    nums = [(21 * k - 24 * n * h + h - inverse_mod(h, k) - k * _chi_twelfths(h, k)) % (24 * k)
+            for h in range(k) if gcd(h, k) == 1]
+    value = sum(cmath.exp(1j * math.pi * (num / (12 * k))) for num in nums)
+    return KloostermanValue(k=k, n=n, value=value, terms=len(nums))
 
 
-def _check_partial(T: int, t: int, k: int, rhos) -> None:
+def _check_partial(T: int, k: int, rhos) -> None:
     if k < 1:
         raise ValueError("k must be >= 1")
-    if t == 0 or abs(t) > (T - 1) // 2:
-        raise ValueError("t must be nonzero with |t| <= (T-1)/2")
     if any(abs(rho) > (T - 1) // 2 for rho in rhos):
         raise ValueError("|varrho| must be at most (T-1)/2")
 
@@ -301,7 +306,9 @@ def kloosterman_partial(
     An empty residue class gives the zero value (an empty sum, not an
     error).  The summation index sigma of the written sum is bound to t.
     """
-    _check_partial(T, t, k, [varrho])
+    if t == 0 or abs(t) > (T - 1) // 2:
+        raise ValueError("t must be nonzero with |t| <= (T-1)/2")
+    _check_partial(T, k, [varrho])
     g = gcd(T, k)
     if not 0 <= l <= k // g - 1:
         raise ValueError(f"l={l} outside 0..{k // g - 1}")
@@ -335,33 +342,46 @@ def _chi_twelfths(h: int, k: int) -> int:
     return twelfths + shift + (12 if sym < 0 else 0)
 
 
-def _base_phase(T: int, t: int, h: int, k: int, n: int) -> tuple[float, int, int]:
-    """(scale, p, q): the l-free factors e(-2nh/k) i^(3/2) u_theta_star
-    chi(h, k)^-1 e((h - [-h]_k)/(12k)) of `partial_phases` as
-    scale * e^(i pi p/q), with p/q in [0, 2) in lowest terms.
-
-    The angle is one integer numerator over L = 12 T gamma_co k, reduced
-    by `gcd`; chi and chi^3 (at (gamma_co h, k/(T, k))) enter as
-    `_chi_twelfths`.  The scale is 1, except for rho = 0, where it is
-    u_theta_star's real factor |2 sin(.)|.
-    """
-    if t == 0:
-        raise ValueError("partial_phases requires t != 0")
+def _h_terms(T: int, h: int, k: int, n: int) -> tuple[int, int, int]:
+    """(H, inv2, N0), the t-free data of one h: H = gamma_co h,
+    inv2 = [-H]_(k/(T,k)), and N0, the part of `_base_phase`'s numerator
+    over L = 12 T gamma_co k that does not depend on t: the angles of
+    e(-2nh/k) i^(3/2), chi(H, k/(T,k))^3, e(g inv2/(4k)), chi(h, k)^-1 and
+    e((h - [-h]_k)/(12k))."""
     g = gcd(T, k)
     gco = T // g
     H = gco * h
-    rho = rho_residue(T, t * H)
     inv = mod_inverse_pair(h, k)[0]
     inv2 = inverse_mod(-H, k // g)
+    N0 = (-24 * n * h * T * gco + 9 * T * gco * k  # e(-2nh/k) i^(3/2)
+          + 3 * T * gco * k * _chi_twelfths(H, k // g)  # chi^3
+          + 3 * T * T * inv2  # g inv2/(4k)
+          - T * gco * k * _chi_twelfths(h, k)  # chi^-1
+          + T * gco * (h - inv))  # e((h - [-h]_k)/(12k))
+    return H, inv2, N0
+
+
+def _base_phase(T: int, t: int, k: int, terms) -> tuple[float, int, int]:
+    """(scale, p, q): the l-free factors e(-2nh/k) i^(3/2) u_theta_star
+    chi(h, k)^-1 e((h - [-h]_k)/(12k)) of `partial_phases` as
+    scale * e^(i pi p/q), with p/q in [0, 2) in lowest terms; `terms` is
+    `_h_terms(T, h, k, n)`.
+
+    The angle is one integer numerator over L = 12 T gamma_co k, reduced
+    by `gcd`: the t-free N0 plus u_theta's t-dependent part and
+    u_theta_star's branch tail; chi and chi^3 (at (gamma_co h, k/(T, k)))
+    enter N0 as `_chi_twelfths`.  The scale is 1, except for rho = 0,
+    where it is u_theta_star's real factor |2 sin(.)|.
+    """
+    if t == 0:
+        raise ValueError("partial_phases requires t != 0")
+    gco = T // gcd(T, k)
+    H, inv2, N = terms
+    rho = rho_residue(T, t * H)
     L = 12 * T * gco * k
     tail = 12 * T * (rho * inv2 - t * (1 + H * inv2))  # L (rho inv2 - t(1 + H inv2))/(gco k)
-    N = (-24 * n * h * T * gco + 9 * T * gco * k  # e(-2nh/k) i^(3/2)
-         + 3 * T * gco * k * _chi_twelfths(H, k // g)  # chi^3
-         + ((t * H - rho) // T) * L  # u_theta
-         + 12 * ((t * H - rho) ** 2 * inv2 - 2 * t * rho)
-         + 3 * T * T * inv2  # g inv2/(4k)
-         - T * gco * k * _chi_twelfths(h, k)  # chi^-1
-         + T * gco * (h - inv))  # e((h - [-h]_k)/(12k))
+    N += (((t * H - rho) // T) * L  # u_theta
+          + 12 * ((t * H - rho) ** 2 * inv2 - 2 * t * rho))
     scale = 1.0
     if rho > 0:
         N -= L // 2 + tail
@@ -377,8 +397,9 @@ def _base_phase(T: int, t: int, h: int, k: int, n: int) -> tuple[float, int, int
     return scale, N // reduce, L // reduce
 
 
-def partial_phases(T: int, t: int, h: int, k: int, n: int) -> tuple[float, list[int], int]:
-    """The units e(-2nh/k) u_h_star(T, t, l, h, k) for l = 0..k/(T,k) - 1.
+def partial_phases(T: int, t: int, k: int, terms) -> tuple[float, list[int], int]:
+    """The units e(-2nh/k) u_h_star(T, t, l, h, k) for l = 0..k/(T,k) - 1,
+    with `terms` = `_h_terms(T, h, k, n)`.
 
     Returns (scale, numerators, den): unit l is scale * e^(i pi N_l / den)
     with integers 0 <= N_l < 2 den, and N_l / den is exactly the unit's
@@ -391,10 +412,9 @@ def partial_phases(T: int, t: int, h: int, k: int, n: int) -> tuple[float, list[
         num = -(HK+1)TK + 4TK (e mod 2) - T H w^2 - 2w (TK - 2tH),
         e = lH + (K-1)(H-1)//2 + tH - rho + 1.
     """
-    scale, p, q = _base_phase(T, t, h, k, n)
-    g = gcd(T, k)
-    kg = k // g
-    H = T // g * h
+    scale, p, q = _base_phase(T, t, k, terms)
+    kg = k // gcd(T, k)
+    H = terms[0]
     rho = rho_residue(T, t * H)
     D = 4 * T * kg
     den = q * D
@@ -409,36 +429,40 @@ def partial_phases(T: int, t: int, h: int, k: int, n: int) -> tuple[float, list[
 
 
 def kloosterman_partials(
-    T: int, t: int, k: int, n: int, rhos
-) -> dict[int, list[KloostermanValue]]:
-    """`kloosterman_partial(T, t, rho, l, k, n)` for every rho in `rhos` and
-    every l, from one pass over h.
+    T: int, k: int, n: int, rhos
+) -> dict[int, dict[int, list[KloostermanValue]]]:
+    """`kloosterman_partial(T, t, rho, l, k, n)` for every t != 0 with
+    |t| <= (T-1)/2 (ascending), every rho in `rhos` and every l, from one
+    pass over h: result[t][rho][l].
 
-    Each h joins the bucket of its rho_T(t gamma_co h); a bucket's sums
-    over l are accumulated in ascending h, as `kloosterman_partial` does,
-    so every value is bit-identical to it.  An empty bucket gives K zero
-    values with `terms == 0`.
+    The t-free data of each h (`_h_terms`: both inverses, both chi
+    twelfths and the t-free part of the base numerator) is computed once;
+    then, for each t, h joins the bucket of its rho_T(t gamma_co h).  A
+    bucket's sums over l are accumulated in ascending h, as
+    `kloosterman_partial` does, so every value is bit-identical to it.
+    An empty bucket gives K zero values with `terms == 0`.
     """
-    members: dict[int, list[int]] = {rho: [] for rho in rhos}
-    _check_partial(T, t, k, members)
-    g = gcd(T, k)
-    gco = T // g
+    _check_partial(T, k, rhos)
+    half = (T - 1) // 2
+    kg = k // gcd(T, k)
+    gco = T // gcd(T, k)
+    acc = {t: {rho: [0j] * kg for rho in rhos} for t in range(-half, half + 1) if t}
+    count = {t: dict.fromkeys(rhos, 0) for t in acc}
     for h in range(k):
         if gcd(h, k) != 1:
             continue
-        bucket = members.get(rho_residue(T, t * gco * h))
-        if bucket is not None:
-            bucket.append(h)
-    out = {}
-    zero = KloostermanValue(k=k, n=n, value=0j, terms=0)
-    for rho, hs in members.items():
-        if not hs:
-            out[rho] = [zero] * (k // g)
-            continue
-        acc = [0j] * (k // g)
-        for h in hs:
-            scale, nums, den = partial_phases(T, t, h, k, n)
+        terms = _h_terms(T, h, k, n)
+        for t, buckets in acc.items():
+            rho = rho_residue(T, t * gco * h)
+            bucket = buckets.get(rho)
+            if bucket is None:
+                continue
+            count[t][rho] += 1
+            scale, nums, den = partial_phases(T, t, k, terms)
             for l, num in enumerate(nums):
-                acc[l] += scale * cmath.exp(1j * math.pi * (num / den))
-        out[rho] = [KloostermanValue(k=k, n=n, value=v, terms=len(hs)) for v in acc]
-    return out
+                bucket[l] += scale * cmath.exp(1j * math.pi * (num / den))
+    empty = [KloostermanValue(k=k, n=n, value=0j, terms=0)] * kg
+    return {t: {rho: [KloostermanValue(k=k, n=n, value=v, terms=count[t][rho]) for v in values]
+                if count[t][rho] else empty
+                for rho, values in buckets.items()}
+            for t, buckets in acc.items()}

@@ -157,6 +157,10 @@ BREAKDOWN_SHA256 = {
     # the integer base phases and the alpha-vectorised quadrature
     (7, 4, 200): "dc17a99a93b9f4ca86075e85528f2c91c778b5b2666f1f483ee8a6ba60c64706",
     (17, 2, 221): "77d41292a0b51f031cd7b9bb0fa20a6718f229c5a984fd82a5148ee4c610dfa4",
+    # recorded before the panels of a panel count shared one Bessel call:
+    # 204 Miller-order panels (r = 6), and a `mordell` query at r = 4, T > 7
+    (23, 6, 300): "f774de162124142b506a4140fb4ad542b4bed1a68cae24f28aa303160b7ab134",
+    (19, 4, 207): "4f430bdd941c7aa8ef178c0fa380f5cc3cb8f16e856276e425bd36c999a0349f",
 }
 
 

@@ -105,6 +105,41 @@ class TestBesselI:
         with pytest.raises(ValueError):
             bessel_i(Fraction(61, 2), 1.0)
 
+    @pytest.mark.parametrize("order", BESSEL_ORDERS)
+    def test_rows_equal_their_own_calls(self, order):
+        # a 2-D argument whose rows have different maxima: every row is bit
+        # for bit its own 1-D call, on the closed/series path (|order| <=
+        # 5/2, the series below x = |order|) and on the Miller path alike
+        rng = np.random.default_rng(abs(order.numerator))
+        xs = np.array([np.sort(rng.uniform(0.01, top, 24))
+                       for top in (0.4, 2.2, 7.0, 40.0, 180.0, 650.0)])
+        rows = bessel_i(order, xs)
+        assert rows.shape == xs.shape
+        for x, row in zip(xs, rows):
+            assert np.array_equal(row, bessel_i(order, x))
+
+    @pytest.mark.parametrize("order", BESSEL_ORDERS)
+    def test_large_argument_against_mpmath(self, order):
+        # the main term reaches x = 243 at n = 9000; up to 700 every value,
+        # alone or in one array spanning the whole range, is within 1e-15
+        # of 40-digit mpmath (4e-16 seen)
+        xs = (201.5, 243.0, 300.0, 450.0, 600.0, 700.0)
+        together = bessel_i(order, np.array(xs))
+        with mp.workdps(40):
+            for x, joint in zip(xs, together):
+                ref = mp.besseli(mp.mpf(order.numerator) / order.denominator, x)
+                assert rel_err(bessel_i(order, x), ref) < 1e-15, x
+                assert rel_err(joint, ref) < 1e-15, x
+
+    def test_wide_miller_array_does_not_overflow(self):
+        # one call at 210 and 700 starts both from the depth 700 needs, so
+        # the unnormalized I_(7/2)(210) times sinh(210) once passed double
+        # range, though each scalar call is finite
+        vals = bessel_i(Fraction(7, 2), np.array([210.0, 700.0]))
+        with mp.workdps(40):
+            for x, v in zip((210.0, 700.0), vals):
+                assert rel_err(v, mp.besseli(mp.mpf(7) / 2, x)) < 1e-15
+
     @pytest.mark.parametrize("order", [Fraction(1, 2), Fraction(-3, 2),
                                        Fraction(9, 2), Fraction(-21, 2)])
     def test_overflow_raises(self, order):
@@ -419,8 +454,8 @@ class TestBesselIntegral:
     def test_shared_grid_matches_one_alpha_calls(self, monkeypatch):
         # a group's values do not depend on the other alphas in it, nor on
         # their order; here the outer alphas converge at 4 panels and the
-        # inner ones at 8, and the group evaluates each panel's Bessel
-        # factor once: 2 + 4 + 8 calls
+        # inner ones at 8, and the group evaluates the Bessel factor once
+        # per panel count, all panels in one call: 3 calls of 2, 4 and 8 rows
         p = _params(T=7, beta=Fraction(1, 12) - Fraction(1, 4 * 343), varrho=Fraction(3, 7),
                     c=1, d=Fraction(-7, 2), k=1, n=40)
         alphas = [Fraction(s, 20) for s in range(-9, 10, 3)]
@@ -435,13 +470,14 @@ class TestBesselIntegral:
 
         monkeypatch.setattr("trank.specfun.bessel_i", counting)
         assert bessel_integrals(p, alphas) == alone
-        assert len(calls) == 2 + 4 + 8
+        assert calls == [2, 4, 8]
         assert bessel_integrals(p, []) == []
 
     def test_pending_alphas_converge_at_their_own_panel_count(self, monkeypatch):
         # T = 13, varrho = 6/13: the two outer alphas converge at 8 panels
         # and the inner ones at 16.  In shuffled order the group gives each
-        # alpha exactly its one-alpha value, from 2 + 4 + 8 + 16 panels
+        # alpha exactly its one-alpha value, from one Bessel call per panel
+        # count: 2, 4, 8 and 16 panels
         p = _params(T=13, beta=Fraction(1, 12) - Fraction(1, 4 * 13**3),
                     varrho=Fraction(6, 13), c=1, d=Fraction(-5, 2), k=1, n=40)
         alphas = [Fraction(s, 25) for s in range(-12, 13, 3)]
@@ -450,7 +486,7 @@ class TestBesselIntegral:
         panels = []
 
         def counting(order, y):
-            panels.append(1)
+            panels.append(len(y))
             return original(order, y)
 
         monkeypatch.setattr("trank.specfun.bessel_i", counting)
@@ -459,10 +495,10 @@ class TestBesselIntegral:
             panels.clear()
             values.append(bessel_integral(dataclasses.replace(p, alpha=a)))
             counts.append(len(panels))
-        assert sorted(set(counts)) == [2 + 4 + 8, 2 + 4 + 8 + 16]
+        assert sorted(set(counts)) == [3, 4]
         panels.clear()
         assert bessel_integrals(p, alphas) == values
-        assert len(panels) == 2 + 4 + 8 + 16
+        assert panels == [2, 4, 8, 16]
 
     def test_unconvergeable_group_raises(self, monkeypatch):
         # a Bessel factor that drifts on every call keeps each alpha's

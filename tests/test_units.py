@@ -10,6 +10,7 @@ from trank.units import (
     I_POW_3_2,
     ExactUnit,
     _base_phase,
+    _h_terms,
     alpha_shift,
     chi_multiplier,
     inverse_mod,
@@ -224,6 +225,16 @@ class TestKloosterman:
             assert abs(val.value) <= phi + 1e-9
             assert val.terms == phi
 
+    def test_integer_phases_equal_the_fraction_oracle(self):
+        # every k <= 60 and seven n: the integer numerator over 12k gives
+        # the Fraction summands' float sum bit for bit
+        for k in range(1, 61):
+            for n in (0, 1, 7, 200, 221, 1600, 5599):
+                units = _kloosterman_units(k, n)
+                val = kloosterman_sum(k, n)
+                assert val.value == sum(u.to_complex() for u in units), (k, n)
+                assert val.terms == len(units)
+
     def test_period_in_n(self):
         for k in (2, 3, 5, 8):
             for n in range(6):
@@ -286,7 +297,7 @@ class TestIntegerPhases:
                 for h in (h for h in range(k) if gcd(h, k) == 1):
                     stars = [u_h_star(T, t, l, h, k) for l in range(kg)]
                     for n in (0, 1, 7, 200):
-                        scale, nums, den = partial_phases(T, t, h, k, n)
+                        scale, nums, den = partial_phases(T, t, k, _h_terms(T, h, k, n))
                         assert len(nums) == kg
                         for num, star in zip(nums, stars):
                             unit = ExactUnit(Fraction(-2 * n * h, k)) * star
@@ -308,20 +319,22 @@ class TestIntegerPhases:
                     Fraction(h - mod_inverse_pair(h, k)[0], 12 * k))
                 for t in (x for x in range(-half, half + 1) if x):
                     unit = lead * u_theta_star(T, t, h, k) * tail
-                    scale, p, q = _base_phase(T, t, h, k, n)
+                    scale, p, q = _base_phase(T, t, k, _h_terms(T, h, k, n))
                     assert Fraction(p, q) == unit.angle and gcd(p, q) == 1
                     assert scale == unit.scale
 
     def test_buckets_equal_partial_sums(self):
         # one pass over h gives kloosterman_partial bit for bit, for every
-        # rho, empty buckets included
+        # t and rho, empty buckets included
         for T in (3, 5, 9, 15, 21):
             half = (T - 1) // 2
+            ts = [x for x in range(-half, half + 1) if x]
             for k in range(1, 13):
                 kg = k // gcd(T, k)
                 n = 3 * k + T
-                for t in (x for x in range(-half, half + 1) if x):
-                    buckets = kloosterman_partials(T, t, k, n, range(-half, half + 1))
+                partials = kloosterman_partials(T, k, n, range(-half, half + 1))
+                assert list(partials) == ts
+                for t, buckets in partials.items():
                     assert list(buckets) == list(range(-half, half + 1))
                     for rho, values in buckets.items():
                         assert len(values) == kg
@@ -329,12 +342,16 @@ class TestIntegerPhases:
                             assert value == kloosterman_partial(T, t, rho, l, k, n)
 
     def test_buckets_only_for_requested_rho(self):
-        # T = 7, k = 14: gamma_co = 1, so h lands in the bucket of rho_7(2h)
-        buckets = kloosterman_partials(7, 2, 14, 5, [3, -1])
+        # T = 7, k = 14: gamma_co = 1, so at t = 2 h lands in the bucket of
+        # rho_7(2h); T = 1 has no t != 0
+        partials = kloosterman_partials(7, 14, 5, [3, -1])
+        assert list(partials) == [-3, -2, -1, 1, 2, 3]
+        buckets = partials[2]
         assert list(buckets) == [3, -1]
         assert [v.terms for v in buckets[3]] == [1, 1]  # h = 5
         assert [v.terms for v in buckets[-1]] == [1, 1]  # h = 3
+        assert kloosterman_partials(1, 5, 5, [0]) == {}
         with pytest.raises(ValueError):
-            kloosterman_partials(7, 2, 14, 5, [4])
+            kloosterman_partials(7, 14, 5, [4])
         with pytest.raises(ValueError):
-            kloosterman_partials(7, 0, 14, 5, [0])
+            kloosterman_partials(7, 0, 5, [0])
