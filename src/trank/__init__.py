@@ -35,16 +35,9 @@ from .mockforms import (
     VERIFICATION_CASES,
     VerificationReport,
     c_kernel,
-    eta,
     m_kernel,
-    mu,
-    mu_hat,
-    r_function,
     taylor_moments,
-    theta,
     verify_transformation,
-    zwegers_a,
-    zwegers_a_t,
 )
 from .qseries import (
     MomentTable,
@@ -104,7 +97,6 @@ __all__ = [
     "c_kernel",
     "chi_multiplier",
     "comparison_rows",
-    "eta",
     "garvan_scan",
     "gauss_error",
     "jacobi_symbol",
@@ -117,12 +109,9 @@ __all__ = [
     "moment_generating_eval",
     "moment_table",
     "mordell_h",
-    "mu",
-    "mu_hat",
     "partition_number",
     "partition_series",
     "prop56_expansion_check",
-    "r_function",
     "rank_count_table",
     "rho_residue",
     "script_h",
@@ -132,10 +121,7 @@ __all__ = [
     "theorem_a_main",
     "theorem_b_difference_leading",
     "theorem_b_leading",
-    "theta",
     "verify_transformation",
-    "zwegers_a",
-    "zwegers_a_t",
 ]
 
 __version__ = "0.1.0"

@@ -150,8 +150,9 @@ def theorem_a_main(query: AsymptoticQuery) -> TermBreakdown:
     t != 0.  For T = 3 the gamma = 3 classes have a nonpositive gate, and
     for gamma = 1 the class varrho = 0 has gate exactly 0, while the
     classes varrho = +-1 pass the gate but are always empty: gamma = 1
-    makes gamma_co = T, so rho_T(t gamma_co h) = 0 for every h.  No Bessel
-    integral is evaluated.
+    makes gamma_co = T, so rho_T(t gamma_co h) = 0 for every h.  Only gated
+    multiples of gamma_co are summed, so T = 3 takes no Kloosterman partial
+    sum and evaluates no Bessel integral.
 
     The Mordell part is assembled in three passes: the partial Kloosterman
     sums of each (gamma, k) from one pass over h, bucketed by t and varrho;
@@ -191,10 +192,12 @@ def theorem_a_main(query: AsymptoticQuery) -> TermBreakdown:
                 continue
             K = k // gamma
             out.dropped_terms += (T - 1) * (T - len(gated)) * K * len(abc)
-            if not gated:
+            # rho_T(t gamma_co h) is a multiple of gamma_co = T / gamma
+            reachable = [rho for rho in gated if rho % (T // gamma) == 0]
+            if not reachable:
                 continue
-            for t, partials in kloosterman_partials(T, k, n, gated).items():
-                for rho in gated:
+            for t, partials in kloosterman_partials(T, k, n, reachable).items():
+                for rho in reachable:
                     if partials[rho][0].is_empty:
                         continue
                     group = alphas.setdefault((k, rho), [])

@@ -227,14 +227,14 @@ def _build_parser() -> argparse.ArgumentParser:
                     "main-term asymptotics.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_T=True):
+    def common(p, needs_T=True, formats=("csv", "json")):
         if needs_T:
             p.add_argument("--T", type=int, required=True, help="odd positive T")
             p.add_argument("--r", type=int, required=True, help="moment order")
         p.add_argument("--out", help="output path (default: stdout, or "
                        f"${OUTPUT_DIR_ENV} if set)")
-        p.add_argument("--format", dest="fmt", choices=("csv", "json"),
-                       default="csv")
+        p.add_argument("--format", dest="fmt", choices=formats,
+                       default=formats[0])
 
     p = sub.add_parser("moments", help="exact moment table m_T^r(n)")
     common(p)
@@ -250,7 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, help="comma list or lo..hi[:step]")
 
     p = sub.add_parser("verify", help="transformation-law suites")
-    common(p, needs_T=False)
+    common(p, needs_T=False, formats=("json",))
     p.add_argument("--case", default=None, choices=mockforms.VERIFICATION_CASES,
                    help="one suite (default: all twelve)")
     p.add_argument("--trials", type=positive_int, default=20)

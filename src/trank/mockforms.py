@@ -1,13 +1,13 @@
 """Numerical eta, theta, and Appell-Lerch evaluators plus a randomized
 verifier for their transformation laws.
 
-Conventions.  Internally everything is written in terms of a point tau in
-the upper half-plane with q = e^(2 pi i tau); the classical real-part
-convention (arguments `z` with Re z > 0, tau = iz) is provided by thin
-wrappers, and the modular-transformation call sites use
-tau = (h + iz)/k.  Series are bilateral and truncated by explicit Gaussian
-tail windows; every truncation has a computable tail bound and raises
-`ConvergenceError` instead of silently returning a bad value.
+Conventions.  Every evaluator takes a point tau in the upper half-plane
+with q = e^(2 pi i tau); callers in the classical real-part convention
+(arguments `z` with Re z > 0) pass tau = iz, and the
+modular-transformation call sites use tau = (h + iz)/k.  Series are
+bilateral and truncated by explicit Gaussian tail windows; every
+truncation has a computable tail bound and raises `ConvergenceError`
+instead of silently returning a bad value.
 
 The `verify_transformation` driver turns each transformation law into a
 seeded randomized numeric identity check and collects a report of
@@ -24,7 +24,7 @@ from math import gcd
 from typing import Callable
 
 from .errors import ConvergenceError
-from .specfun import mordell_h
+from .specfun import _cauchy_taylor, mordell_h
 from .units import (
     alpha_shift,
     chi_multiplier,
@@ -71,19 +71,23 @@ def _check_off_lattice(u: complex, tau: complex, margin: float, what: str) -> No
 # Classical building blocks
 # ---------------------------------------------------------------------------
 
-def eta_tau(tau: complex) -> complex:
-    """Dedekind eta: e^(pi i tau / 12) prod (1 - q^n), q = e^(2 pi i tau)."""
-    tau = _require_upper(tau)
-    q = cmath.exp(2j * math.pi * tau)
+def _euler(q: complex) -> complex:
+    """prod_(n >= 1) (1 - q^n) for |q| < 1."""
     n_cut = int(-41.5 / math.log(abs(q))) + 2  # |q|^n below e^-41.5 ~ 1e-18
     if n_cut > 2_000_000:
-        raise ConvergenceError("eta series needs too many terms (Im tau tiny)")
+        raise ConvergenceError("euler product needs too many terms (Im tau tiny)")
     prod = 1.0 + 0j
     qn = q
     for _ in range(n_cut):
         prod *= 1.0 - qn
         qn *= q
-    return cmath.exp(1j * math.pi * tau / 12.0) * prod
+    return prod
+
+
+def eta_tau(tau: complex) -> complex:
+    """Dedekind eta: e^(pi i tau / 12) prod (1 - q^n), q = e^(2 pi i tau)."""
+    tau = _require_upper(tau)
+    return cmath.exp(1j * math.pi * tau / 12.0) * _euler(cmath.exp(2j * math.pi * tau))
 
 
 def theta_tau(v: complex, tau: complex) -> complex:
@@ -214,43 +218,6 @@ def mu_hat_tau(u: complex, v: complex, tau: complex,
     return mu_tau(u, v, tau, margin) + 0.5j * r_tau(u - v, tau)
 
 
-# -- wrappers in the Re z > 0 convention ------------------------------------
-
-def eta(z: complex) -> complex:
-    """eta(iz) for Re z > 0."""
-    return eta_tau(1j * complex(z))
-
-
-def theta(v: complex, z: complex) -> complex:
-    """theta(v; iz) for Re z > 0."""
-    return theta_tau(v, 1j * complex(z))
-
-
-def zwegers_a(u: complex, v: complex, z: complex) -> complex:
-    """A(u, v; iz) for Re z > 0."""
-    return zwegers_a_tau(u, v, 1j * complex(z))
-
-
-def zwegers_a_t(T: int, u: complex, v: complex, z: complex) -> complex:
-    """A_T(u, v; iz) for Re z > 0."""
-    return zwegers_a_t_tau(T, u, v, 1j * complex(z))
-
-
-def mu(u: complex, v: complex, z: complex) -> complex:
-    """mu(u, v; iz) for Re z > 0."""
-    return mu_tau(u, v, 1j * complex(z))
-
-
-def r_function(w: complex, z: complex) -> complex:
-    """R(w; iz) for Re z > 0."""
-    return r_tau(w, 1j * complex(z))
-
-
-def mu_hat(u: complex, v: complex, z: complex) -> complex:
-    """mu-hat(u, v; iz) for Re z > 0."""
-    return mu_hat_tau(u, v, 1j * complex(z))
-
-
 # ---------------------------------------------------------------------------
 # Moment kernels
 # ---------------------------------------------------------------------------
@@ -260,14 +227,13 @@ class EvaluationPoint:
     """A point (u, z) with the modular data (h, k) of the evaluation cusp.
 
     Validates the usual conditions: Re z > 0, |z| < 1, h, k coprime with
-    0 <= h < k; `require_strong` additionally demands Re(1/z) >= k/2.
+    0 <= h < k.
     """
 
     u: complex
     z: complex
     h: int = 0
     k: int = 1
-    require_strong: bool = False
 
     def __post_init__(self):
         z = complex(self.z)
@@ -277,8 +243,6 @@ class EvaluationPoint:
             raise ValueError("|z| must be < 1 (usual conditions)")
         if self.k < 1 or not 0 <= self.h < self.k or gcd(self.h, self.k) != 1:
             raise ValueError("h, k must be coprime with 0 <= h < k")
-        if self.require_strong and (1.0 / z).real < self.k / 2.0:
-            raise ValueError("Re(1/z) >= k/2 required for this evaluation")
 
     @property
     def tau(self) -> complex:
@@ -337,21 +301,13 @@ def m_kernel(T: int, u: complex, tau: complex, method: str = "direct") -> comple
                 / eta_tau(tau))
     if method == "kernels":
         half = (T - 1) // 2
-        point = _point_from_tau(u, tau)
+        point = EvaluationPoint(u=u, z=tau / 1j)
         return sum(c_kernel(T, t, point) for t in range(-half, half + 1))
     if method != "direct":
         raise ValueError(f"unknown method {method!r}")
     _check_off_lattice(u, tau, _LATTICE_MARGIN, "u")
     q = cmath.exp(2j * math.pi * tau)
     eu = cmath.exp(2j * math.pi * u)
-    n_cut = int(-41.5 / math.log(abs(q))) + 2
-    if n_cut > 2_000_000:
-        raise ConvergenceError("euler product needs too many terms")
-    euler = 1.0 + 0j
-    qn = q
-    for _ in range(n_cut):
-        euler *= 1.0 - qn
-        qn *= q
     span = abs(u.imag) / tau.imag
     lo, hi = _gaussian_window(T * tau.imag)
     lo, hi = lo - int(span / T) - 1, hi + int(span / T) + 1
@@ -359,13 +315,7 @@ def m_kernel(T: int, u: complex, tau: complex, method: str = "direct") -> comple
     for n in range(lo, hi + 1):
         acc += ((-1) ** n * cmath.exp(1j * math.pi * n * (T * n + 1) * tau)
                 / (1.0 - eu * q**n))
-    return (1.0 - eu) * acc / euler
-
-
-def _point_from_tau(u: complex, tau: complex) -> EvaluationPoint:
-    # recover a (h=0, k=1)-style point when tau = iz
-    z = tau / 1j
-    return EvaluationPoint(u=u, z=z)
+    return (1.0 - eu) * acc / _euler(q)
 
 
 def taylor_moments(T: int, r_max: int, point: EvaluationPoint,
@@ -382,24 +332,10 @@ def taylor_moments(T: int, r_max: int, point: EvaluationPoint,
     tau = point.tau
     if radius <= 0 or radius > 0.45:
         raise ValueError("radius must lie in (0, 0.45]")
-    n = max(128, 8 * (r_max + 1))
-    prev = None
-    for _ in range(4):
-        vals = [
-            m_kernel(T, radius * cmath.exp(2j * math.pi * j / n), tau)
-            for j in range(n)
-        ]
-        coeffs = []
-        for r in range(r_max + 1):
-            s = sum(vals[j] * cmath.exp(-2j * math.pi * j * r / n) for j in range(n))
-            coeffs.append(s / (n * radius**r) * math.factorial(r) / (2j * math.pi) ** r)
-        if prev is not None:
-            scale = max(max(abs(c) for c in coeffs), 1e-300)
-            if all(abs(a - b) <= 1e-9 * scale for a, b in zip(coeffs, prev)):
-                return coeffs
-        prev = coeffs
-        n *= 2
-    raise ConvergenceError("taylor_moments extraction did not stabilize")
+    coeffs = _cauchy_taylor(
+        lambda pts: [m_kernel(T, complex(u), tau) for u in pts],
+        radius, r_max, samples=128, tol=1e-9)
+    return [c * math.factorial(r) / (2j * math.pi) ** r for r, c in enumerate(coeffs)]
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +371,20 @@ def _rel_err(lhs: complex, rhs: complex) -> float:
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
 
 
+class DrawRejected(Exception):
+    """A trial's random inputs fell too close to a lattice or a zero; the
+    verifier redraws the trial from the same generator."""
+
+
+def _draw(sample: Callable, accept: Callable, tries: int):
+    """The first of up to `tries` calls of `sample()` that `accept` admits."""
+    for _ in range(tries):
+        value = sample()
+        if accept(value):
+            return value
+    raise DrawRejected(f"no admissible draw in {tries} tries")
+
+
 def _draw_modular(rng: random.Random, k_max: int = 6):
     k = rng.randint(1, k_max)
     h = rng.choice([x for x in range(k) if gcd(x, k) == 1]) if k > 1 else 0
@@ -447,11 +397,9 @@ def _draw_odd_T(rng: random.Random, lo: int = 1, hi: int = 23) -> int:
 
 
 def _draw_u(rng: random.Random, tau: complex, margin: float = 0.05) -> complex:
-    for _ in range(100):
-        u = complex(rng.uniform(-0.2, 0.2), rng.uniform(-0.1, 0.1))
-        if abs(u) > 2 * margin and lattice_distance(u, tau) >= margin:
-            return u
-    raise RuntimeError("could not draw a lattice-safe u")
+    return _draw(lambda: complex(rng.uniform(-0.2, 0.2), rng.uniform(-0.1, 0.1)),
+                 lambda u: abs(u) > 2 * margin and lattice_distance(u, tau) >= margin,
+                 100)
 
 
 def _sqrt_i_over(z: complex) -> complex:
@@ -494,23 +442,23 @@ def _trial_theta_modular(rng):
 
 
 def _draw_mu_args(rng, tau, margin=0.05):
-    for _ in range(200):
-        u = complex(rng.uniform(-0.45, 0.45), rng.uniform(-0.2, 0.2))
-        v = complex(rng.uniform(-0.45, 0.45), rng.uniform(-0.2, 0.2))
-        if (lattice_distance(u, tau) >= margin and lattice_distance(v, tau) >= margin
-                and abs(theta_tau(v, tau)) > 1e-6):
-            return u, v
-    raise RuntimeError("could not draw lattice-safe (u, v)")
+    return _draw(lambda: (complex(rng.uniform(-0.45, 0.45), rng.uniform(-0.2, 0.2)),
+                          complex(rng.uniform(-0.45, 0.45), rng.uniform(-0.2, 0.2))),
+                 lambda uv: (lattice_distance(uv[0], tau) >= margin
+                             and lattice_distance(uv[1], tau) >= margin
+                             and abs(theta_tau(uv[1], tau)) > 1e-6),
+                 200)
 
 
 def _trial_muhat_elliptic(rng):
     z = complex(rng.uniform(0.3, 0.9), rng.uniform(-0.3, 0.3))
     tau = 1j * z
     u, v = _draw_mu_args(rng, tau)
-    m, n, mp_, np_ = (rng.choice([-1, 0, 1]) for _ in range(4))
-    if lattice_distance(u + m * tau + n, tau) < 0.04 or \
-       lattice_distance(v + mp_ * tau + np_, tau) < 0.04:
-        return _trial_muhat_elliptic(rng)
+    # one try: a rejected shift redraws the whole trial, z included
+    m, n, mp_, np_ = _draw(lambda: [rng.choice([-1, 0, 1]) for _ in range(4)],
+                           lambda s: (lattice_distance(u + s[0] * tau + s[1], tau) >= 0.04
+                                      and lattice_distance(v + s[2] * tau + s[3], tau) >= 0.04),
+                           1)
     lhs = mu_hat_tau(u + m * tau + n, v + mp_ * tau + np_, tau, margin=0.02)
     rhs = ((-1) ** (m + n + mp_ + np_)
            * cmath.exp(-math.pi * z * (m - mp_) ** 2 + 2j * math.pi * (m - mp_) * (u - v))
@@ -523,16 +471,12 @@ def _trial_muhat_modular(rng):
     inv = mod_inverse_pair(h, k)[0]
     tau_lhs = (h + 1j * z) / k
     tau_rhs = (inv + 1j / z) / k
-    for _ in range(200):
-        u = complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.15, 0.15))
-        v = complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.15, 0.15))
-        if (lattice_distance(-1j * u * z, tau_lhs) >= 0.03
-                and lattice_distance(-1j * v * z, tau_lhs) >= 0.03
-                and lattice_distance(u, tau_rhs) >= 0.03
-                and lattice_distance(v, tau_rhs) >= 0.03):
-            break
-    else:
-        raise RuntimeError("could not draw arguments for muhat_modular")
+    u, v = _draw(
+        lambda: (complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.15, 0.15)),
+                 complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.15, 0.15))),
+        lambda uv: all(lattice_distance(-1j * x * z, tau_lhs) >= 0.03
+                       and lattice_distance(x, tau_rhs) >= 0.03 for x in uv),
+        200)
     lhs = mu_hat_tau(-1j * u * z, -1j * v * z, tau_lhs, margin=0.02)
     rhs = ((chi_multiplier(h, k) ** -3).to_complex() * _sqrt_i_over(z)
            * cmath.exp(-math.pi * k * z * (u - v) ** 2)
@@ -574,10 +518,9 @@ def _trial_at_decomposition(rng):
     tau = 1j * z
     T = rng.choice([1, 3, 5, 7])
     u = _draw_u(rng, tau)
-    for _ in range(50):
-        v = complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.3, 0.3))
-        if lattice_distance(T * u, T * tau) >= 0.03:
-            break
+    if lattice_distance(T * u, T * tau) < 0.03:
+        raise DrawRejected("T u is within 0.03 of the lattice of T tau")
+    v = complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.3, 0.3))
     lhs = zwegers_a_t_tau(T, u, v, tau)
     rhs = sum(
         cmath.exp(2j * math.pi * u * t)
@@ -695,15 +638,12 @@ def _trial_muhat_composite(rng):
     tau_rhs = (inv + 1j / z) / k
     v_lhs = (t / (T * k)) * (h + 1j * z)
     v_rhs = (rho / (T * k)) * (inv + 1j / z) - t / (T * k) * (1 + h * inv)
-    for _ in range(200):
-        u = complex(rng.uniform(-0.35, 0.35), rng.uniform(-0.15, 0.15))
-        if (lattice_distance(u, tau_lhs) >= 0.03
-                and lattice_distance(v_lhs, tau_lhs) >= 0.02
-                and lattice_distance(1j * u / z, tau_rhs) >= 0.03
-                and lattice_distance(v_rhs, tau_rhs) >= 0.02):
-            break
-    else:
-        raise RuntimeError("could not draw arguments for muhat_composite")
+    if lattice_distance(v_lhs, tau_lhs) < 0.02 or lattice_distance(v_rhs, tau_rhs) < 0.02:
+        raise DrawRejected("v is within 0.02 of its period lattice")
+    u = _draw(lambda: complex(rng.uniform(-0.35, 0.35), rng.uniform(-0.15, 0.15)),
+              lambda u: (lattice_distance(u, tau_lhs) >= 0.03
+                         and lattice_distance(1j * u / z, tau_rhs) >= 0.03),
+              200)
     lhs = mu_hat_tau(u, v_lhs, tau_lhs, margin=0.01)
     rhs = (_sqrt_i_over(z)
            * cmath.exp(math.pi * k / z * (u - rho / (T * k)) ** 2
@@ -757,8 +697,8 @@ def verify_transformation(case: str, trials: int = 20, tolerance: float = 1e-8,
         for _ in range(20):
             try:
                 return fn(rng)
-            except (ValueError, RuntimeError):
-                continue  # redraw on unlucky lattice-adjacent samples
+            except DrawRejected:
+                continue
         raise RuntimeError(f"case {case}: trial {i} could not draw valid inputs")
 
     if threads > 1:

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 from .errors import TruncationError
 
-SPT_ENUMERATION_LIMIT = 200
+SPT_ENUMERATION_LIMIT = 75
 
 
 def _require_odd_positive(T: int) -> None:
@@ -178,8 +178,8 @@ def spt_oracle(n: int) -> int:
 
     Partitions are enumerated as ascending compositions in lexicographic
     order with an explicit stack array; nothing is shared with the series
-    engine, so this is an independent oracle.  Guarded at n <= 200 because
-    the enumeration visits every partition.
+    engine, so this is an independent oracle.  Guarded at n <= 75 (about
+    7 s on one core) because the enumeration visits every partition.
     """
     if n < 1:
         raise ValueError("spt(n) requires n >= 1")

@@ -636,9 +636,10 @@ def taylor_identity_check(family: str, nu: complex, z: complex, lam: complex,
     return worst
 
 
-def _cauchy_taylor(f, radius: float, r_max: int, samples: int = 256) -> list[complex]:
+def _cauchy_taylor(f, radius: float, r_max: int, samples: int = 256,
+                   tol: float = 1e-11) -> list[complex]:
     """Taylor coefficients of f at 0 through a sampled circle integral,
-    with sample doubling as a convergence check."""
+    with sample doubling until two passes agree to `tol` relative."""
     prev = None
     n = max(samples, 8 * (r_max + 1))
     for _ in range(4):
@@ -651,7 +652,7 @@ def _cauchy_taylor(f, radius: float, r_max: int, samples: int = 256) -> list[com
         ]
         if prev is not None:
             scale = max(max(abs(c) for c in coeffs), 1e-300)
-            if all(abs(a - b) <= 1e-11 * scale for a, b in zip(coeffs, prev)):
+            if all(abs(a - b) <= tol * scale for a, b in zip(coeffs, prev)):
                 return coeffs
         prev = coeffs
         n *= 2

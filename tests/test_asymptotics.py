@@ -59,6 +59,21 @@ class TestTheoremA:
             assert not b.mordell_contributions
             assert b.dropped_terms > 0 or T == 1
 
+    def test_T3_takes_no_partial_kloosterman_sums(self, monkeypatch):
+        # gamma = 1 reaches only varrho = 0, whose gate is 0, and gamma = 3
+        # has no gated class, so no (gamma, k) has a bucket that can fill
+        import trank.asymptotics as asymptotics
+
+        calls = []
+        partials = asymptotics.kloosterman_partials
+        monkeypatch.setattr(asymptotics, "kloosterman_partials",
+                            lambda *args: calls.append(args) or partials(*args))
+        b = theorem_a_main(AsymptoticQuery(T=3, r=2, n=300))
+        assert calls == []
+        assert b.dropped_terms > 0
+        theorem_a_main(AsymptoticQuery(T=5, r=2, n=300))
+        assert calls
+
     def test_matches_exact_T1(self):
         table = moment_table(1, 2, 250)
         b = theorem_a_main(AsymptoticQuery(T=1, r=2, n=250))

@@ -49,6 +49,9 @@ BYTES = {
         "552a36886c34c2930299ef2b42fc9b1bc7b983367699250d5a2f5b18956a2055",
     "verify --trials 6 --seed 1":
         "c042158e7eaf3d33b8b090c9ba0c2066e1a0c1d470aa8fdfdd18f4abd31c5702",
+    # the benchmark's verify request that holds the cancelling prop_4_2 trial
+    "verify --trials 35 --seed 10":
+        "cef65ca9adc5b67d2781e10aff69a5692fd69e4316c0c530b6a419d3a5bf8c09",
 }
 
 INVALID = [
@@ -73,6 +76,7 @@ INVALID = [
     "verify --tol-scale 0",
     "verify --tol-scale nan",
     "verify --case bogus",
+    "verify --format csv",
     "nope",
 ]
 

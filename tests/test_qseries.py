@@ -4,6 +4,7 @@ import pytest
 
 from trank.errors import TruncationError
 from trank.qseries import (
+    SPT_ENUMERATION_LIMIT,
     PowerSeries,
     euler_product,
     moment_generating_eval,
@@ -75,6 +76,8 @@ class TestSptOracle:
             spt_oracle(0)
         with pytest.raises(ValueError):
             spt_oracle(201)
+        with pytest.raises(ValueError):
+            spt_oracle(SPT_ENUMERATION_LIMIT + 1)
 
 
 class TestSptSeries:
