@@ -112,12 +112,14 @@ def _run_asymptotic(args: argparse.Namespace) -> int:
     for query in queries:
         breakdown = asymptotics.theorem_a_main(query)
         leading = asymptotics.theorem_b_leading(args.T, args.r, query.n)
-        rows.append([args.T, args.r, query.n, f"{breakdown.mu_part:.17g}",
-                     f"{breakdown.mordell_part:.17g}", f"{breakdown.total:.17g}",
-                     f"{leading:.17g}"])
-        entry = breakdown.as_dict()
-        entry["thmB_leading"] = leading
-        payload.append(entry)
+        if args.fmt == "csv":
+            rows.append([args.T, args.r, query.n, f"{breakdown.mu_part:.17g}",
+                         f"{breakdown.mordell_part:.17g}", f"{breakdown.total:.17g}",
+                         f"{leading:.17g}"])
+        else:  # the per-term dict is formatted only for the JSON report
+            entry = breakdown.as_dict()
+            entry["thmB_leading"] = leading
+            payload.append(entry)
         print(f"n={query.n} done", file=sys.stderr)
     if args.fmt == "csv":
         text = _csv_text(
@@ -137,8 +139,9 @@ def _run_compare(args: argparse.Namespace) -> int:
             ["T", "r", "n", "exact", "thmA_main", "thmB_leading",
              "rel_err_A", "rel_err_B"],
             [[row.T, row.r, row.n, row.exact, f"{row.thm_a_main:.17g}",
-              f"{row.thm_b_leading:.17g}", f"{row.rel_err_a:.17g}",
-              f"{row.rel_err_b:.17g}"] for row in rows])
+              f"{row.thm_b_leading:.17g}",
+              *("" if err is None else f"{err:.17g}" for err in (row.rel_err_a, row.rel_err_b))]
+             for row in rows])
     else:
         text = _json_text([
             {"T": row.T, "r": row.r, "n": row.n, "exact": str(row.exact),

@@ -223,10 +223,10 @@ def _bessel_positive(n: int, x):
 
     The start order must clear both the target order and x itself: the
     wanted (minimal) solution only starts dominating the recurrence once
-    the order exceeds the argument.  Each row of a 2-D x (a 1-D or scalar
-    x is one row) starts at depth 24 + int(1.2 max(row)) and passes its
-    own doubling test, so row j of the result is bit-identical to a call
-    on x[j] alone.
+    the order exceeds the argument.  Each row (last axis) of x (a 1-D or
+    scalar x is one row) starts at depth 24 + int(1.2 max(row)) and passes
+    its own doubling test, so each row of the result is bit-identical to a
+    call on that row alone.
     """
     rows = x.reshape(-1, x.shape[-1]) if x.ndim else x.reshape(1, 1)
     depth = n + 24 + (1.2 * rows.max(axis=1)).astype(int)
@@ -264,8 +264,11 @@ def bessel_i(order, x):
     cancellation); larger positive orders use a normalized downward Miller
     recurrence, larger negative orders the K-connection split.  Relative
     accuracy 1e-10 for |order| <= 31/2 and x in [1e-3, 200], away from the
-    zeros of the negative-order functions, and 1e-15 on (200, 700].  Row j
-    of a 2-D x is bit-identical to `bessel_i(order, x[j])`.  A value past
+    zeros of the negative-order functions, and 1e-15 on (200, 700].  Each
+    row (last axis) of an array x is bit-identical to `bessel_i` on that
+    row alone.  A scalar x is not a one-element row below x = |order| <=
+    5/2: there the power series' leading power is numpy's scalar pow, not
+    its array pow, and the two can differ in the last bit.  A value past
     double range (x above about 710) raises `ValueError` rather than
     returning inf or nan.
     """
@@ -518,36 +521,55 @@ def bessel_integral(params: IntegralParams, tol: float = 1e-9) -> complex:
     essentially zero (odd symmetry), agreement at the roundoff floor of
     the node-sum magnitude counts as converged.
     """
-    return bessel_integrals(params, [params.alpha], tol)[0]
+    return bessel_integrals([(params, [params.alpha])], tol)[0][0]
 
 
-def bessel_integrals(params: IntegralParams, alphas, tol: float = 1e-9) -> list[complex]:
-    """`bessel_integral` at each alpha in `alphas`, the rest of `params` fixed
-    (`params.alpha` itself is not used).
+# The most (alpha x panel x node) values that `bessel_integrals` holds in
+# one block, so that its per-alpha arrays do not grow with the number of
+# groups or alphas (at least one alpha per block)
+_BLOCK_NODES = 1 << 13
 
-    Only the factor e^(2 pi lam alpha x) depends on alpha, so the nodes
-    and alpha-free factors, the Bessel values among them, are evaluated
-    once per panel count and shared.  At each panel count every alpha not
-    yet converged is evaluated at once, one (pending alpha x panels x 24)
-    array with one `bessel_i` call; each node's value is the same
-    product, in the same order, as in a one-panel array, `bessel_i` gives
-    each panel's row its own Miller start, and each alpha accumulates its
-    panel sums in panel order and keeps its own doubling test, leaving the
-    pending set when that passes.  So every value is bit-identical to a
-    one-alpha call, and to evaluating the panels one by one.
+
+def bessel_integrals(groups, tol: float = 1e-9) -> list[list[complex]]:
+    """`bessel_integral` at each alpha of each (params, alphas) group, as one
+    list of values per group (`params.alpha` itself is not used).
+
+    The groups must share c and d, so the polynomial power, the endpoint
+    power and the Bessel order; k, beta, varrho and n may differ.  Only
+    the factor e^(2 pi lam alpha x) depends on alpha, so at each panel
+    count the alpha-free factors are evaluated once for every group with
+    an alpha not yet converged: the Bessel factor of all those groups in
+    one `bessel_i` call on a (group x panel x 24) array, which gives each
+    (group, panel) row its own Miller start, then (lam x)^c and the cosh
+    factor.  The pending alphas of all groups are then evaluated in
+    blocks of at most `_BLOCK_NODES` values, one (alpha x panel x 24)
+    array each.  Each node's value is the same product, in the same
+    order, as in a one-alpha, one-panel array; each alpha accumulates its
+    panel sums in panel order and keeps its own doubling test, leaving
+    the pending set when that passes.  So every value is bit-identical to
+    a one-alpha call, and to evaluating the panels one by one.
     """
-    lam = params.lam
-    rho = float(params.varrho)
-    c = params.c
-    half_exp = float(params.d + 1) / 2.0
-    order = params.bessel_order
-    arg_scale = 2.0 * math.pi * math.sqrt(float(params.beta) * float(2 * params.n + params.delta)) / params.k
-    if arg_scale > 700.0:
+    if not groups:
+        return []
+    c, d = groups[0][0].c, groups[0][0].d
+    if any(params.c != c or params.d != d for params, _ in groups):
+        raise ValueError("bessel_integrals groups must share c and d")
+    half_exp = float(d + 1) / 2.0
+    order = groups[0][0].bessel_order
+    arg_scale = np.array([
+        2.0 * math.pi * math.sqrt(float(params.beta) * float(2 * params.n + params.delta))
+        / params.k for params, _ in groups])
+    if (arg_scale > 700.0).any():
         raise ValueError("Bessel argument overflows double range")
+    lam = np.array([params.lam for params, _ in groups])
+    shift = np.array([1j * float(params.varrho) for params, _ in groups])
+    owner = np.repeat(np.arange(len(groups)), [len(alphas) for _, alphas in groups])
+    slopes = 2.0 * math.pi * lam[owner] * np.array(
+        [float(alpha) for _, alphas in groups for alpha in alphas])
     nodes, weights = _gauss_legendre()
-    out = [0j] * len(alphas)
-    pending = np.arange(len(alphas))
-    slopes = 2.0 * math.pi * lam * np.array([float(alpha) for alpha in alphas])
+    out = np.empty(len(slopes), dtype=complex)
+    pending = np.arange(len(slopes))
+    slot = np.empty(len(groups), dtype=int)  # group -> its row among the live groups
     prev = None
     panels = 2
     while len(pending):
@@ -558,28 +580,45 @@ def bessel_integrals(params: IntegralParams, alphas, tol: float = 1e-9) -> list[
         mid, rad = (a + b) / 2.0, (b - a) / 2.0
         x = mid[:, None] + rad[:, None] * nodes  # one row per panel
         one_minus = 1.0 - x * x
-        # weights * ((lam x)^c * e^(slope x) * (1 - x^2)^e * I / cosh), each
-        # product in this order, in place on the (alpha x panel x node) array
-        vals = np.exp(slopes[pending, None, None] * x)
+        endpoint = one_minus**half_exp
+        # the groups with a pending alpha, in order: pending stays ascending
+        # and each group's alphas are contiguous in it
+        owners = owner[pending]
+        live = owners[np.flatnonzero(np.diff(owners, prepend=-1))]
+        slot[live] = np.arange(len(live))
+        bessel = bessel_i(order, arg_scale[live, None, None] * np.sqrt(one_minus))
+        lam_x = lam[live, None, None] * x
         if c:
-            np.multiply((lam * x) ** c, vals, out=vals)
-        vals *= one_minus**half_exp
-        vals *= bessel_i(order, arg_scale * np.sqrt(one_minus))
-        vals = vals / np.cosh(math.pi * (lam * x + 1j * rho))
-        np.multiply(weights, vals, out=vals)
-        # each panel's rad * row sum, added in panel order: cumsum is
-        # sequential, and "+ 0.0" turns a -0.0 total into the +0.0 that a
-        # sum started from zero gives
-        total = np.cumsum(rad * vals.sum(axis=2), axis=1)[:, -1] + 0.0
-        magnitude = np.cumsum(rad * np.abs(vals).sum(axis=2), axis=1)[:, -1]
+            lam_pow = lam_x**c
+        cosh = np.cosh(math.pi * (lam_x + shift[live, None, None]))
+        total = np.empty(len(pending), dtype=complex)
+        magnitude = np.empty(len(pending))
+        step = max(1, _BLOCK_NODES // x.size)
+        for start in range(0, len(pending), step):
+            block = slice(start, start + step)
+            row = slot[owners[block]]
+            # weights * ((lam x)^c * e^(slope x) * (1 - x^2)^e * I / cosh),
+            # each product in this order, in place on the block's array
+            vals = np.exp(slopes[pending[block], None, None] * x)
+            if c:
+                np.multiply(lam_pow[row], vals, out=vals)
+            vals *= endpoint
+            vals *= bessel[row]
+            vals = vals / cosh[row]
+            np.multiply(weights, vals, out=vals)
+            # each panel's rad * row sum, added in panel order: cumsum is
+            # sequential, and "+ 0.0" turns a -0.0 total into the +0.0 that
+            # a sum started from zero gives
+            total[block] = np.cumsum(rad * vals.sum(axis=2), axis=1)[:, -1] + 0.0
+            magnitude[block] = np.cumsum(rad * np.abs(vals).sum(axis=2), axis=1)[:, -1]
         if prev is not None:
             done = np.abs(total - prev) <= np.maximum(tol * np.abs(total), 1e-14 * magnitude)
-            for i, value in zip(pending[done], total[done]):
-                out[i] = complex(value)
+            out[pending[done]] = total[done]
             pending, total = pending[~done], total[~done]
         prev = total
         panels *= 2
-    return out
+    values = iter(out.tolist())
+    return [[next(values) for _ in alphas] for _, alphas in groups]
 
 
 def taylor_identity_check(family: str, nu: complex, z: complex, lam: complex,

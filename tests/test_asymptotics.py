@@ -3,8 +3,10 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from trank import asymptotics
 from trank.asymptotics import (
     AsymptoticQuery,
     _realize,
@@ -18,6 +20,7 @@ from trank.asymptotics import (
     theorem_b_leading,
 )
 from trank.qseries import moment_table, spt_oracle
+from trank.specfun import kappa_support
 
 
 class TestQueryValidation:
@@ -158,6 +161,39 @@ class TestTheoremA:
         tail = sum(v for key, v in full.mu_contributions.items() if key[0] == cap)
         assert 0 < abs(tail) < 100 * envelope
 
+    def test_mu_part_one_bessel_call_per_order(self, monkeypatch):
+        # r = 6: the ten (a, b, c) share seven orders; each order is one call
+        # on a (k x 1) array of the k with K_k(n) != 0
+        original = asymptotics.bessel_i
+        calls = []
+
+        def counting(order, x):
+            calls.append((order, np.shape(x)))
+            return original(order, x)
+
+        monkeypatch.setattr("trank.asymptotics.bessel_i", counting)
+        out = theorem_a_main(AsymptoticQuery(T=1, r=6, n=200))
+        ks = {key[0] for key in out.mu_contributions}
+        orders = {Fraction(-3 + 2 * a + 4 * c, 2) for a, b, c in kappa_support(6)}
+        assert len(orders) == 7 and ks == set(range(1, 15))
+        assert sorted(calls) == sorted((order, (len(ks), 1)) for order in orders)
+
+    def test_mu_part_equals_scalar_bessel_calls(self, monkeypatch):
+        # past the default cap the closed orders reach x < |order|, where
+        # bessel_i sums its power series; every term still equals the one
+        # from a scalar bessel_i call per (k, order)
+        query = AsymptoticQuery(T=1, r=8, n=50, k_cap=120)
+        together = theorem_a_main(query).mu_contributions
+        original = asymptotics.bessel_i
+
+        def scalars(order, x):
+            if np.ndim(x) == 0:
+                return original(order, x)
+            return np.array([[original(order, float(v))] for v in np.ravel(x)])
+
+        monkeypatch.setattr("trank.asymptotics.bessel_i", scalars)
+        assert theorem_a_main(query).mu_contributions == together
+
 
 # SHA-256 of json.dumps(theorem_a_main(query).as_dict(), sort_keys=True),
 # recorded before the Mordell-part assembly was rewritten: every field,
@@ -176,6 +212,11 @@ BREAKDOWN_SHA256 = {
     # 204 Miller-order panels (r = 6), and a `mordell` query at r = 4, T > 7
     (23, 6, 300): "f774de162124142b506a4140fb4ad542b4bed1a68cae24f28aa303160b7ab134",
     (19, 4, 207): "4f430bdd941c7aa8ef178c0fa380f5cc3cb8f16e856276e425bd36c999a0349f",
+    # recorded before the (k, varrho) groups of a (c, s) shared one
+    # quadrature pass: 2,310 alphas, several blocks at 2 panels; and
+    # Miller orders across groups (r = 6)
+    (23, 2, 221): "3ff6a36c4992ab19ea688213c83e7e2c6a9ca49d9ef9d74dd23365ff5070740b",
+    (13, 6, 500): "bd2b3a4bf0d3ee426426fac9a15bed31313d3ae82d9a7ec1acfb8004f11f4639",
 }
 
 
@@ -271,4 +312,11 @@ class TestComparisonTables:
     def test_rows_and_writers(self):
         rows = comparison_rows(3, 2, [100, 50])
         assert [row.n for row in rows] == [50, 100]
+        assert rows[1].rel_err_a < rows[1].rel_err_b
+
+    def test_zero_exact_moment_has_no_relative_error(self):
+        # m_3^2(1) = 0: a relative error is undefined there, not a division
+        rows = comparison_rows(3, 2, [1, 50])
+        assert rows[0].exact == 0
+        assert rows[0].rel_err_a is None and rows[0].rel_err_b is None
         assert rows[1].rel_err_a < rows[1].rel_err_b

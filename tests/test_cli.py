@@ -89,6 +89,20 @@ class TestCompareScanSpt:
         rel_b = [float(line.split(",")[7]) for line in lines[1:]]
         assert rel_b[0] > rel_b[1] > rel_b[2]
 
+    def test_compare_zero_exact_moment(self, capsys):
+        # m_5^2(1) = m_5^2(2) = 0: those rows carry no relative error, an
+        # empty CSV field and a JSON null, and the command succeeds
+        assert main(["compare", "--T", "5", "--r", "2", "--n", "1,2,3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(",")[3] for line in lines[1:]] == ["0", "0", "2"]
+        assert [line.split(",")[6:] for line in lines[1:3]] == [["", ""], ["", ""]]
+        assert all(float(field) > 0 for field in lines[3].split(",")[6:])
+        assert main(["compare", "--T", "3", "--r", "2", "--n", "1",
+                     "--format", "json"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)
+        assert row["exact"] == "0"
+        assert row["rel_err_A"] is None and row["rel_err_B"] is None
+
     def test_scan(self, tmp_path):
         out = tmp_path / "s.json"
         assert main(["scan", "--T", "3", "--r", "2", "--n", "1..120",

@@ -455,29 +455,31 @@ class TestBesselIntegral:
         # a group's values do not depend on the other alphas in it, nor on
         # their order; here the outer alphas converge at 4 panels and the
         # inner ones at 8, and the group evaluates the Bessel factor once
-        # per panel count, all panels in one call: 3 calls of 2, 4 and 8 rows
+        # per panel count, all panels in one call: 3 calls of one group's
+        # 2, 4 and 8 panels
         p = _params(T=7, beta=Fraction(1, 12) - Fraction(1, 4 * 343), varrho=Fraction(3, 7),
                     c=1, d=Fraction(-7, 2), k=1, n=40)
         alphas = [Fraction(s, 20) for s in range(-9, 10, 3)]
         alone = [bessel_integral(dataclasses.replace(p, alpha=a)) for a in alphas]
-        assert bessel_integrals(p, alphas[::-1]) == alone[::-1]
+        assert bessel_integrals([(p, alphas[::-1])]) == [alone[::-1]]
         calls = []
         original = bessel_i
 
         def counting(order, y):
-            calls.append(len(y))
+            calls.append(y.shape)
             return original(order, y)
 
         monkeypatch.setattr("trank.specfun.bessel_i", counting)
-        assert bessel_integrals(p, alphas) == alone
-        assert calls == [2, 4, 8]
-        assert bessel_integrals(p, []) == []
+        assert bessel_integrals([(p, alphas)]) == [alone]
+        assert calls == [(1, 2, 24), (1, 4, 24), (1, 8, 24)]
+        assert bessel_integrals([(p, [])]) == [[]]
+        assert bessel_integrals([]) == []
 
     def test_pending_alphas_converge_at_their_own_panel_count(self, monkeypatch):
         # T = 13, varrho = 6/13: the two outer alphas converge at 8 panels
         # and the inner ones at 16.  In shuffled order the group gives each
         # alpha exactly its one-alpha value, from one Bessel call per panel
-        # count: 2, 4, 8 and 16 panels
+        # count: 2, 4, 8 and 16 panels of the one group
         p = _params(T=13, beta=Fraction(1, 12) - Fraction(1, 4 * 13**3),
                     varrho=Fraction(6, 13), c=1, d=Fraction(-5, 2), k=1, n=40)
         alphas = [Fraction(s, 25) for s in range(-12, 13, 3)]
@@ -486,7 +488,7 @@ class TestBesselIntegral:
         panels = []
 
         def counting(order, y):
-            panels.append(len(y))
+            panels.append(y.shape)
             return original(order, y)
 
         monkeypatch.setattr("trank.specfun.bessel_i", counting)
@@ -497,8 +499,47 @@ class TestBesselIntegral:
             counts.append(len(panels))
         assert sorted(set(counts)) == [3, 4]
         panels.clear()
-        assert bessel_integrals(p, alphas) == values
-        assert panels == [2, 4, 8, 16]
+        assert bessel_integrals([(p, alphas)]) == [values]
+        assert panels == [(1, 2, 24), (1, 4, 24), (1, 8, 24), (1, 16, 24)]
+
+    def test_groups_in_one_pass_match_one_call_per_group(self, monkeypatch):
+        # three T = 13 groups of one (c, d) with different k and varrho, and
+        # beta = gate(|varrho|): alone, the first converges at 8 and 16
+        # panels, the second at 4 and the third at 8.  In one call, and in
+        # blocks that end inside a group and span two groups, every value
+        # is bit-identical to its group's own call
+        def group(k, rho, alphas):
+            beta = Fraction(1, 12) - Fraction(1, 13**3) * (
+                Fraction(rho * rho) + Fraction(169, 4) - 13 * abs(rho))
+            return (_params(T=13, beta=beta, varrho=Fraction(rho, 13), c=1,
+                            d=Fraction(-5, 2), k=k, n=40), alphas)
+
+        groups = [group(1, 6, [Fraction(s, 25) for s in range(-12, 13, 3)]),
+                  group(2, 5, [Fraction(s, 26) for s in (-11, -2, 7)]),
+                  group(3, -6, [Fraction(s, 25) for s in range(-12, 13, 6)])]
+        original = bessel_i
+        shapes = []
+
+        def counting(order, y):
+            shapes.append(y.shape)
+            return original(order, y)
+
+        monkeypatch.setattr("trank.specfun.bessel_i", counting)
+        alone, panels = [], []
+        for g in groups:
+            shapes.clear()
+            alone.append(bessel_integrals([g])[0])
+            panels.append([shape[1] for shape in shapes])
+        assert panels == [[2, 4, 8, 16], [2, 4], [2, 4, 8]]
+        # 17 alphas: blocks of 5 at 2 panels, of 2 at 4 and of 1 from 8 on
+        monkeypatch.setattr("trank.specfun._BLOCK_NODES", 5 * 2 * 24)
+        shapes.clear()
+        assert bessel_integrals(groups) == alone
+        assert shapes == [(3, 2, 24), (3, 4, 24), (2, 8, 24), (1, 16, 24)]
+
+    def test_groups_must_share_c_and_d(self):
+        with pytest.raises(ValueError):
+            bessel_integrals([(_params(), [0.1]), (_params(c=3), [0.1])])
 
     def test_unconvergeable_group_raises(self, monkeypatch):
         # a Bessel factor that drifts on every call keeps each alpha's
@@ -508,7 +549,7 @@ class TestBesselIntegral:
         monkeypatch.setattr("trank.specfun.bessel_i",
                             lambda order, y: original(order, y) * (1.0 + 0.01 * next(drift)))
         with pytest.raises(ConvergenceError):
-            bessel_integrals(_params(), [Fraction(-1, 5), Fraction(1, 7)])
+            bessel_integrals([(_params(), [Fraction(-1, 5), Fraction(1, 7)])])
 
     def test_import_leaves_numpy_polynomial_unloaded(self):
         # the Gauss-Legendre nodes are built on first use, not at import
