@@ -4,7 +4,7 @@ The package has five layers:
 
 * `trank.qseries` — exact big-integer q-series: p(n), N_T(m, n), moments,
   and the brute-force spt oracle.
-* `trank.units` — exact roots of unity: Jacobi symbols, the eta multiplier,
+* `trank.units` — exact roots of unity: the eta multiplier,
   the unit factors of the transformation laws, Kloosterman sums.
 * `trank.specfun` — half-integer modified Bessel functions, Bernoulli
   values, the two expansion-coefficient families, and the quadrature
@@ -67,10 +67,9 @@ from .units import (
     KloostermanValue,
     alpha_shift,
     chi_multiplier,
-    jacobi_symbol,
     kloosterman_partial,
     kloosterman_sum,
-    mod_inverse_pair,
+    neg_inverse,
     rho_residue,
 )
 
@@ -99,16 +98,15 @@ __all__ = [
     "comparison_rows",
     "garvan_scan",
     "gauss_error",
-    "jacobi_symbol",
     "kappa",
     "kappa_h",
     "kloosterman_partial",
     "kloosterman_sum",
     "m_kernel",
-    "mod_inverse_pair",
     "moment_generating_eval",
     "moment_table",
     "mordell_h",
+    "neg_inverse",
     "partition_number",
     "partition_series",
     "prop56_expansion_check",

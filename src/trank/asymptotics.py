@@ -46,9 +46,9 @@ from .units import (
     I_POW_3_2,
     alpha_shift,
     chi_multiplier,
-    inverse_mod,
     kloosterman_partials,
     kloosterman_sum,
+    neg_inverse,
     rho_residue,
     u_h_star,
 )
@@ -278,7 +278,7 @@ def theorem_b_difference_leading(T: int, r: int, n: int) -> float:
 def moment_cusp_mu(T: int, r: int, h: int, k: int, z: complex) -> complex:
     """The modular-part main term of the moment generating function near
     the cusp h/k."""
-    hinv = inverse_mod(h, k)
+    hinv = neg_inverse(h, k)
     unit = (I_POW_3_2 * chi_multiplier(h, k).inverse()).to_complex()
     pref = (-unit * cmath.exp(1j * math.pi * (h - hinv) / (12.0 * k))
             * cmath.exp(-math.pi / (12.0 * k) * (z - 1.0 / z)))

@@ -28,8 +28,7 @@ from .specfun import _cauchy_taylor, mordell_h
 from .units import (
     alpha_shift,
     chi_multiplier,
-    inverse_mod,
-    mod_inverse_pair,
+    neg_inverse,
     rho_residue,
     u_h,
     u_mu,
@@ -408,7 +407,7 @@ def _sqrt_i_over(z: complex) -> complex:
 
 def _trial_eta(rng):
     h, k, z = _draw_modular(rng)
-    inv = mod_inverse_pair(h, k)[0]
+    inv = neg_inverse(h, k)
     lhs = eta_tau((h + 1j * z) / k)
     rhs = _sqrt_i_over(z) * chi_multiplier(h, k).to_complex() * eta_tau((inv + 1j / z) / k)
     return lhs, rhs, {"h": h, "k": k, "z": z}
@@ -432,7 +431,7 @@ def _trial_theta_elliptic(rng):
 
 def _trial_theta_modular(rng):
     h, k, z = _draw_modular(rng)
-    inv = mod_inverse_pair(h, k)[0]
+    inv = neg_inverse(h, k)
     v = complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.2, 0.2))
     lhs = theta_tau(v, (h + 1j * z) / k)
     rhs = (_sqrt_i_over(z) * (chi_multiplier(h, k) ** 3).to_complex()
@@ -468,7 +467,7 @@ def _trial_muhat_elliptic(rng):
 
 def _trial_muhat_modular(rng):
     h, k, z = _draw_modular(rng, k_max=4)
-    inv = mod_inverse_pair(h, k)[0]
+    inv = neg_inverse(h, k)
     tau_lhs = (h + 1j * z) / k
     tau_rhs = (inv + 1j / z) / k
     u, v = _draw(
@@ -543,7 +542,7 @@ def _trial_prop_4_1(rng):
     T = _draw_odd_T(rng, 1, 9)
     g = gcd(T, k)
     gco = T // g
-    inv2 = inverse_mod(-gco * h, k // g)
+    inv2 = neg_inverse(gco * h, k // g)
     tau = (h + 1j * z) / k
     u = _draw_u(rng, tau)
     point = EvaluationPoint(u=u, z=z, h=h, k=k)
@@ -552,7 +551,7 @@ def _trial_prop_4_1(rng):
     rhs = (-2.0 / gco * _sqrt_i_over(z)
            * cmath.sin(math.pi * u) * cmath.exp(math.pi * k * T * u * u / z)
            * cmath.exp(1j * math.pi * (h + 1j * z) / (12.0 * k))
-           / (chi_multiplier(h, k).to_complex() * eta_tau((mod_inverse_pair(h, k)[0] + 1j / z) / k))
+           / (chi_multiplier(h, k).to_complex() * eta_tau((neg_inverse(h, k) + 1j / z) / k))
            * eta_tau(tau3) ** 3
            / theta_tau(1j * u * T / (gco * z), tau3))
     return lhs, rhs, {"h": h, "k": k, "z": z, "T": T, "u": u}
@@ -566,7 +565,7 @@ def _trial_prop_4_2(rng):
     g = gcd(T, k)
     gco = T // g
     kg = k // g
-    inv2 = inverse_mod(-gco * h, kg)
+    inv2 = neg_inverse(gco * h, kg)
     rho = rho_residue(T, t * gco * h)
     tau = (h + 1j * z) / k
     u = _draw_u(rng, tau, margin=0.04)
@@ -632,7 +631,7 @@ def _trial_muhat_composite(rng):
     T = _draw_odd_T(rng, 3, 11)
     half = (T - 1) // 2
     t = rng.choice([x for x in range(-half, half + 1) if x != 0])
-    inv = mod_inverse_pair(h, k)[0]
+    inv = neg_inverse(h, k)
     rho = rho_residue(T, t * h)
     tau_lhs = (h + 1j * z) / k
     tau_rhs = (inv + 1j / z) / k

@@ -71,41 +71,13 @@ class ExactUnit:
 I_POW_3_2 = ExactUnit(Fraction(3, 4))  # principal branch of i^(3/2)
 
 
-def mod_inverse_pair(h: int, k: int) -> tuple[int, int]:
-    """([-h]_k, beta) with 0 <= [-h]_k < k and -h [-h]_k - beta k = 1."""
+def neg_inverse(h: int, k: int) -> int:
+    """[-h]_k: the h' in [0, k) with h h' = -1 (mod k); 0 when k = 1."""
     if k < 1:
         raise ValueError("modulus k must be >= 1")
     if gcd(h, k) != 1:
         raise ValueError(f"h={h} and k={k} are not coprime")
-    inv = pow(-h % k, -1, k) if k > 1 else 0
-    beta = (-h * inv - 1) // k
-    assert -h * inv - beta * k == 1
-    return inv, beta
-
-
-def inverse_mod(h: int, k: int) -> int:
-    """[h]_k in [0, k); the k = 1 case maps everything to 0."""
-    if k == 1:
-        return 0
-    return pow(h % k, -1, k)
-
-
-def jacobi_symbol(a: int, n: int) -> int:
-    """Standard Jacobi symbol (a/n) for odd n >= 1 via quadratic reciprocity."""
-    if n < 1 or n % 2 == 0:
-        raise ValueError("Jacobi symbol needs an odd positive lower argument")
-    a %= n
-    result = 1
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
+    return pow(-h, -1, k)
 
 
 def rho_residue(T: int, x: int) -> int:
@@ -127,33 +99,32 @@ def alpha_shift(T: int, t: int, l: int, k: int) -> Fraction:
     return a
 
 
-def chi_multiplier(h: int, k: int) -> ExactUnit:
-    """The 24th-root-of-unity multiplier of the eta transformation law.
+def chi_twelfths(h: int, k: int) -> int:
+    """12 times the angle of `chi_multiplier(h, k)`, in [0, 24).
 
-    Built from a Jacobi symbol and exponent terms with denominators 4 and
-    12; the branch depends on which of h, k is odd.  The two-branch
-    formula is only faithful to the eta law for 0 <= h < k, so arguments
-    outside that range (the composed transformation laws feed in
-    gamma_co h, which can exceed its modulus) are reduced mod k and the
-    integer shift restored through eta(tau + m) = e^(pi i m / 12) eta(tau).
+    chi(h, k) = e^(pi i (-1/4 - s(h, k) + (h - [-h]_k)/(12k))), with s the
+    Dedekind sum.  With a_1..a_m the partial quotients of h/k, 0 < h < k,
+    12k s(h, k) = k sum (-1)^(i+1) a_i + h - [-h]_k - (2k if m is odd,
+    else 0) (Rademacher-Grosswald, Dedekind Sums, ch. 3), so the inverse
+    cancels and 12 angle = -sum (-1)^(i+1) a_i - (1 if m is odd, else 3);
+    k = 1 has m = 0.  Any other h adds h//k through
+    eta(tau + 1) = e^(pi i/12) eta(tau), with the a_i of (h mod k)/k.
     """
     if gcd(h, k) != 1:
         raise ValueError(f"h={h} and k={k} are not coprime")
-    shift = h // k
-    h -= shift * k
-    inv, beta = mod_inverse_pair(h, k)
-    if k % 2 == 1:
-        sym = jacobi_symbol(h, k)
-        angle = Fraction(-k, 4) + Fraction(-beta * inv * (1 - k * k) + k * (h - inv), 12)
-    elif h % 2 == 1:
-        sym = jacobi_symbol(k, h)
-        angle = Fraction(-1, 4) + Fraction(h * k * (1 - inv * inv) - inv * (beta - k + 3), 12)
-    else:
-        raise ValueError("h and k cannot both be even")
-    unit = ExactUnit(angle + Fraction(shift, 12))
-    if sym < 0:
-        unit = unit * ExactUnit.minus_one_pow(1)
-    return unit
+    a, b = k, h % k
+    alternating, sign, m = 0, 1, 0
+    while b:
+        alternating += sign * (a // b)
+        a, b = b, a % b
+        sign, m = -sign, m + 1
+    return (h // k - alternating - (1 if m % 2 else 3)) % 24
+
+
+def chi_multiplier(h: int, k: int) -> ExactUnit:
+    """The 24th-root-of-unity multiplier of the eta transformation law,
+    eta((h + iz)/k) = sqrt(i/z) chi(h, k) eta(([-h]_k + i/z)/k)."""
+    return ExactUnit(Fraction(chi_twelfths(h, k), 12))
 
 
 def u_theta(T: int, t: int, h: int, k: int) -> ExactUnit:
@@ -161,7 +132,7 @@ def u_theta(T: int, t: int, h: int, k: int) -> ExactUnit:
     g = gcd(T, k)
     gco = T // g
     rho = rho_residue(T, t * gco * h)
-    inv2 = inverse_mod(-gco * h, k // g)
+    inv2 = neg_inverse(gco * h, k // g)
     u = ExactUnit.minus_one_pow((t * h * gco - rho) // T)
     u = u * ExactUnit(Fraction((t * gco * h - rho) ** 2 * inv2, gco * T * k))
     u = u * ExactUnit(Fraction(-2 * t * rho, gco * T * k))
@@ -172,7 +143,7 @@ def u_mu(T: int, t: int, h: int, k: int) -> ExactUnit:
     """Unit factor of the transformed mu-function."""
     if t == 0:
         raise ValueError("u_mu requires t != 0")
-    inv = mod_inverse_pair(h, k)[0]
+    inv = neg_inverse(h, k)
     rho = rho_residue(T, t * h)
     u = chi_multiplier(h, k) ** -3
     u = u * ExactUnit.minus_one_pow(t * h - rho)
@@ -193,7 +164,7 @@ def u_theta_star(T: int, t: int, h: int, k: int) -> ExactUnit:
     gco = T // g
     kg = k // g
     rho = rho_residue(T, gco * h * t)
-    inv2 = inverse_mod(-gco * h, kg)
+    inv2 = neg_inverse(gco * h, kg)
     chi3 = chi_multiplier(gco * h, kg) ** 3
     base = chi3 * u_theta(T, t, h, k)
     if rho == 0:
@@ -236,7 +207,7 @@ def u_h_star(T: int, t: int, l: int, h: int, k: int) -> ExactUnit:
     gco = T // g
     kg = k // g
     rho = rho_residue(T, t * gco * h)
-    inv = mod_inverse_pair(h, k)[0]
+    inv = neg_inverse(h, k)
     u = I_POW_3_2 * u_theta_star(T, t, h, k) * chi_multiplier(h, k).inverse()
     u = u * u_h(T, t, l, gco * h, kg)
     u = u * ExactUnit(2 * Fraction(rho, T) * alpha_shift(T, t, l, kg))
@@ -264,7 +235,7 @@ def _kloosterman_units(k: int, n: int) -> list[ExactUnit]:
     for h in range(k) if k > 1 else [0]:
         if gcd(h, k) != 1:
             continue
-        hinv = inverse_mod(h, k)
+        hinv = neg_inverse(h, k)
         u = prefactor
         u = u * ExactUnit(Fraction(-2 * n * h, k))
         u = u * ExactUnit(Fraction(h - hinv, 12 * k))
@@ -274,18 +245,19 @@ def _kloosterman_units(k: int, n: int) -> list[ExactUnit]:
 
 
 def kloosterman_sum(k: int, n: int) -> KloostermanValue:
-    """K_k(n), summed in ascending h.
+    """K_k(n), summed in ascending h: Rademacher's
+    A_k(n) = sum_h e^(pi i s(h, k) - 2 pi i nh/k), s the Dedekind sum.
 
-    Each summand -i^(3/2) e(-2nh/k) e((h - [h]_k)/(12k)) chi(h, k)^-1 is
+    Each summand -i^(3/2) e(-2nh/k) e((h - [-h]_k)/(12k)) chi(h, k)^-1 is
     e^(i pi N/(12k)) with the one integer numerator
-    N = (21k - 24nh + h - [h]_k - k chi12) mod 24k, chi12 = 12 times chi's
-    angle (`_chi_twelfths`); N/(12k) is, as a rational, the reduced
+    N = (21k - 24nh + h - [-h]_k - k chi12) mod 24k, chi12 = 12 times chi's
+    angle (`chi_twelfths`); N/(12k) is, as a rational, the reduced
     `Fraction` angle of the same `ExactUnit` product (`_kloosterman_units`),
     so both give the same float.  K_1(n) = 1 exactly (N = 0).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    nums = [(21 * k - 24 * n * h + h - inverse_mod(h, k) - k * _chi_twelfths(h, k)) % (24 * k)
+    nums = [(21 * k - 24 * n * h + h - neg_inverse(h, k) - k * chi_twelfths(h, k)) % (24 * k)
             for h in range(k) if gcd(h, k) == 1]
     value = sum(cmath.exp(1j * math.pi * (num / (12 * k))) for num in nums)
     return KloostermanValue(k=k, n=n, value=value, terms=len(nums))
@@ -326,22 +298,6 @@ def kloosterman_partial(
     return KloostermanValue(k=k, n=n, value=acc, terms=terms)
 
 
-def _chi_twelfths(h: int, k: int) -> int:
-    """12 times the angle of `chi_multiplier(h, k)`: an integer, mod 24."""
-    shift = h // k
-    h -= shift * k
-    inv, beta = mod_inverse_pair(h, k)
-    if k % 2 == 1:
-        sym = jacobi_symbol(h, k)
-        twelfths = -3 * k - beta * inv * (1 - k * k) + k * (h - inv)
-    elif h % 2 == 1:
-        sym = jacobi_symbol(k, h)
-        twelfths = -3 + h * k * (1 - inv * inv) - inv * (beta - k + 3)
-    else:
-        raise ValueError("h and k cannot both be even")
-    return twelfths + shift + (12 if sym < 0 else 0)
-
-
 def _h_terms(T: int, h: int, k: int, n: int) -> tuple[int, int, int]:
     """(H, inv2, N0), the t-free data of one h: H = gamma_co h,
     inv2 = [-H]_(k/(T,k)), and N0, the part of `_base_phase`'s numerator
@@ -351,12 +307,12 @@ def _h_terms(T: int, h: int, k: int, n: int) -> tuple[int, int, int]:
     g = gcd(T, k)
     gco = T // g
     H = gco * h
-    inv = mod_inverse_pair(h, k)[0]
-    inv2 = inverse_mod(-H, k // g)
+    inv = neg_inverse(h, k)
+    inv2 = neg_inverse(H, k // g)
     N0 = (-24 * n * h * T * gco + 9 * T * gco * k  # e(-2nh/k) i^(3/2)
-          + 3 * T * gco * k * _chi_twelfths(H, k // g)  # chi^3
+          + 3 * T * gco * k * chi_twelfths(H, k // g)  # chi^3
           + 3 * T * T * inv2  # g inv2/(4k)
-          - T * gco * k * _chi_twelfths(h, k)  # chi^-1
+          - T * gco * k * chi_twelfths(h, k)  # chi^-1
           + T * gco * (h - inv))  # e((h - [-h]_k)/(12k))
     return H, inv2, N0
 
@@ -370,7 +326,7 @@ def _base_phase(T: int, t: int, k: int, terms) -> tuple[float, int, int]:
     The angle is one integer numerator over L = 12 T gamma_co k, reduced
     by `gcd`: the t-free N0 plus u_theta's t-dependent part and
     u_theta_star's branch tail; chi and chi^3 (at (gamma_co h, k/(T, k)))
-    enter N0 as `_chi_twelfths`.  The scale is 1, except for rho = 0,
+    enter N0 as `chi_twelfths`.  The scale is 1, except for rho = 0,
     where it is u_theta_star's real factor |2 sin(.)|.
     """
     if t == 0:

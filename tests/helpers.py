@@ -6,8 +6,11 @@ literal formula evaluation, independent of the package's series engine.
 
 from __future__ import annotations
 
+import cmath
 import functools
+import math
 from fractions import Fraction
+from math import gcd
 
 from trank.qseries import spt_oracle
 
@@ -61,3 +64,19 @@ def rel_err(a: complex, b: complex) -> float:
 
 def frac(num: int, den: int = 1) -> Fraction:
     return Fraction(num, den)
+
+
+def dedekind_sum(h: int, k: int) -> Fraction:
+    """s(h, k) exactly, by Dedekind reciprocity
+    s(h, k) + s(k, h) = (h/k + k/h + 1/(hk))/12 - 1/4 and s(h + k, k) = s(h, k)."""
+    h %= k
+    if h == 0:
+        return Fraction(0)
+    return Fraction(h * h + k * k + 1, 12 * h * k) - Fraction(1, 4) - dedekind_sum(k, h)
+
+
+def rademacher_a(k: int, n: int) -> complex:
+    """Rademacher's A_k(n) = sum over h mod k coprime to k of
+    e^(pi i s(h, k) - 2 pi i nh/k)."""
+    return sum(cmath.exp(1j * math.pi * float((dedekind_sum(h, k) - Fraction(2 * n * h, k)) % 2))
+               for h in range(k) if gcd(h, k) == 1)

@@ -83,12 +83,20 @@ class TestTheoremA:
         assert abs(table[250] - b.total) / table[250] < 1e-10
 
     def test_relative_error_improves(self):
-        table = moment_table(1, 2, 1000)
-        errs = []
-        for n in (250, 1000):
-            b = theorem_a_main(AsymptoticQuery(T=1, r=2, n=n))
-            errs.append(abs(table[n] - b.total) / table[n])
-        assert errs[1] < errs[0]
+        # at n = 50 the error keeps falling as k_cap grows, by more than 3x
+        # from each k_cap to the next, instead of stalling at the k >= 3
+        # terms of a wrong Kloosterman sum
+        table = moment_table(1, 2, 50)
+        errs = [abs(table[50] - theorem_a_main(AsymptoticQuery(T=1, r=2, n=50, k_cap=cap)).total)
+                / table[50] for cap in (2, 4, 6, 10)]
+        assert all(a > 3 * b for a, b in zip(errs, errs[1:])), errs
+        assert errs[-1] < 2e-8
+
+    def test_matches_exact_T1_n100(self):
+        # the default k_cap = 10 reaches 5e-12: the k >= 3 terms count here
+        table = moment_table(1, 2, 100)
+        b = theorem_a_main(AsymptoticQuery(T=1, r=2, n=100))
+        assert abs(table[100] - b.total) / table[100] < 1e-10
 
     def test_k1_dominates(self):
         b = theorem_a_main(AsymptoticQuery(T=1, r=2, n=1000))
@@ -195,28 +203,30 @@ class TestTheoremA:
         assert theorem_a_main(query).mu_contributions == together
 
 
-# SHA-256 of json.dumps(theorem_a_main(query).as_dict(), sort_keys=True),
-# recorded before the Mordell-part assembly was rewritten: every field,
-# each contribution included, must stay bit-identical.  T = 3 is the case
-# where every bucket of the Mordell part is empty.
+# SHA-256 of json.dumps(theorem_a_main(query).as_dict(), sort_keys=True):
+# every field, each contribution included, must stay bit-identical.  T = 3
+# is the case where every bucket of the Mordell part is empty.  All ten
+# were re-recorded when K_k(n) became Rademacher's A_k(n) (h' = [-h]_k)
+# and chi took its Dedekind-sum form, which moves every k >= 3 term; the
+# comments below say which earlier rewrite each pin first guarded.
 BREAKDOWN_SHA256 = {
-    (5, 4, 200): "76fe95281039a2a09760368cb6b9e0a09db636ea0fe9d127d10ee53baae76c24",
-    (13, 2, 90): "0dcb27ef07eeb91b2d003c48725aef386e5cd3e68f72c3338ad0dbb61ca85598",
-    (23, 6, 40): "edd046a3d183a9cc437aa6d343d37132ea5d64bb6d2a9f6f3339c9a02712ff0a",
-    (3, 2, 300): "0f60c194bc1fcee15199a239e266daf96cd6a692b385dc758534eb91ae013bce",
+    (5, 4, 200): "e9985404d249f6089fb0d82e8d3b9ab9e02f802aacc952e19b5bae5c78cc1adf",
+    (13, 2, 90): "2feba33ab497ccaf48746d7ccfc9d77c29ea9d25a3a5497e75360772d6074edd",
+    (23, 6, 40): "c3e9d1332babc1e2f64aafc28b95f0e39c71e953574f026efeeefdcd44168adf",
+    (3, 2, 300): "a9a5b07caa40ab87986e07a903cbecfd557885c8921aba4efee8576a60a1a56f",
     # two queries of the benchmark's `mordell` workload, recorded before
     # the integer base phases and the alpha-vectorised quadrature
-    (7, 4, 200): "dc17a99a93b9f4ca86075e85528f2c91c778b5b2666f1f483ee8a6ba60c64706",
-    (17, 2, 221): "77d41292a0b51f031cd7b9bb0fa20a6718f229c5a984fd82a5148ee4c610dfa4",
+    (7, 4, 200): "86f26b667aad9d8012d21e1dfa6ee09f0355469d8bbc14573621bda62a424519",
+    (17, 2, 221): "1d72e8cc4fd01f9bec060d20eb580249fbc9ae979c9053a1f2bf9942cd2c28c8",
     # recorded before the panels of a panel count shared one Bessel call:
     # 204 Miller-order panels (r = 6), and a `mordell` query at r = 4, T > 7
-    (23, 6, 300): "f774de162124142b506a4140fb4ad542b4bed1a68cae24f28aa303160b7ab134",
-    (19, 4, 207): "4f430bdd941c7aa8ef178c0fa380f5cc3cb8f16e856276e425bd36c999a0349f",
+    (23, 6, 300): "e565ffdc41d74522a7368702e1445948752f55598c2b89683d127005bb1c9003",
+    (19, 4, 207): "e2a2a7e1c88ea14e253880adc26049ab916f984b291f24dd58f291ee9fce9f5a",
     # recorded before the (k, varrho) groups of a (c, s) shared one
     # quadrature pass: 2,310 alphas, several blocks at 2 panels; and
     # Miller orders across groups (r = 6)
-    (23, 2, 221): "3ff6a36c4992ab19ea688213c83e7e2c6a9ca49d9ef9d74dd23365ff5070740b",
-    (13, 6, 500): "bd2b3a4bf0d3ee426426fac9a15bed31313d3ae82d9a7ec1acfb8004f11f4639",
+    (23, 2, 221): "30adfe29ea46d358255741095364549c2bfab03b80937ec488360645791fc762",
+    (13, 6, 500): "14bed9f9be2d4fe7f3ce8e43f9fadec7dc2d207525b0acf713fd848bf1697e79",
 }
 
 
@@ -275,6 +285,15 @@ class TestCuspExpansion:
         vals = [prop56_expansion_check(5, 2, 1, 2, z) for z in (0.4, 0.2, 0.1)]
         d = [v.discrepancy for v in vals]
         assert d[0] > d[1] > d[2]
+
+    @pytest.mark.parametrize("h,k,last", [(1, 3, 1e-6), (2, 3, 1e-6), (1, 4, 1e-4), (3, 4, 1e-4)])
+    def test_cusps_past_k2(self, h, k, last):
+        # at k >= 3 the cusp main term carries e^(pi i s(h, k)) itself:
+        # the relative discrepancy shrinks along the ray, to 4e-8 at 1/3
+        # and 1.5e-5 at 1/4 when z = 0.1
+        rel = [r.discrepancy / abs(r.exact)
+               for r in (prop56_expansion_check(1, 2, h, k, z) for z in (0.4, 0.2, 0.1))]
+        assert rel[0] > rel[1] > rel[2] and rel[2] < last, rel
 
     def test_hypothesis_guard(self):
         with pytest.raises(ValueError):

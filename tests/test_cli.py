@@ -1,12 +1,18 @@
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trank.cli import main, parse_n_values
+from trank.mockforms import VERIFICATION_CASES
 from trank.qseries import moment_table, spt_oracle
 
 
@@ -157,3 +163,72 @@ class TestCompareScanSpt:
         monkeypatch.setenv("TRANK_OUT_DIR", str(tmp_path))
         assert main(["spt-check", "--n-max", "6", "--format", "json"]) == 0
         assert (tmp_path / "spt_check.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    "asymptotic --T 5 --r 2 --n 10 --k-cap 14",
+    "asymptotic --T 3 --r 8 --n 1 --k-cap 40",
+    "asymptotic --T 5 --r 8 --n 5 --k-cap 80",
+    "asymptotic --T 9 --r 4 --n 30 --k-cap 60",
+])
+def test_large_k_cap_is_real(argv, capsys):
+    # a k_cap past the default reaches k = 2 (mod 4), k >= 14, where the
+    # main term has no imaginary residue now that chi has the sign of the
+    # eta law there
+    assert main(argv.split()) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert all(math.isfinite(float(field)) for field in row.split(",")[3:])
+
+
+# The CLI grammar with small sizes: per option, valid values and invalid
+# ones, drawn one time in four.  Each command draws its own options, each
+# left out one time in twenty (so a required one goes missing), and one
+# time in ten an option of another command as well.
+_VALUES = {
+    "--T": (["1", "3", "5", "9", "23"], ["2", "25", "-1", "x"]),
+    "--r": (["0", "2", "4", "8"], ["3", "-2"]),
+    "--n": (["1", "5", "30", "60", "1,7,20", "1..40:13"],
+            ["0", "-3", "5..2", "", "x", "1..10:0"]),
+    "--k-cap": (["1", "3", "14"], ["0", "-1"]),
+    "--n-max": (["1", "25", "60"], ["0", "-5", "x"]),
+    "--format": (["csv", "json"], ["xml"]),
+    "--case": (list(VERIFICATION_CASES), ["bogus"]),
+    "--trials": (["1", "2"], ["0", "-1"]),
+    "--seed": (["0", "1", "10", "-3"], ["x"]),
+    "--tol-scale": (["1", "1e-12"], ["0", "nan", "inf"]),
+    "--threads": (["1", "2"], ["0"]),
+}
+_COMMANDS = {
+    "moments": ["--T", "--r", "--n-max", "--format"],
+    "asymptotic": ["--T", "--r", "--n", "--k-cap", "--format"],
+    "compare": ["--T", "--r", "--n", "--format"],
+    "verify": ["--case", "--trials", "--seed", "--tol-scale", "--threads", "--format"],
+    "scan": ["--T", "--r", "--n", "--format"],
+    "spt-check": ["--n-max", "--format"],
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    options = [opt for opt in _COMMANDS[command] if draw(st.integers(0, 19)) < 19]
+    if draw(st.integers(0, 9)) == 9:
+        options.append(draw(st.sampled_from(sorted(_VALUES))))
+    argv = [command]
+    for opt in options:
+        valid, invalid = _VALUES[opt]
+        argv += [opt, draw(st.sampled_from(invalid if draw(st.integers(0, 3)) == 3 else valid))]
+    return argv
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=120)
+@given(_argv())
+def test_every_parsed_command_ends_cleanly(argv):
+    # exit 0, 1 or 2, exactly one `error:` line on exit 2, no exception
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)

@@ -16,6 +16,13 @@ integral taken from its analyticity strip, in place of an oscillation
 rate, moved prop_4_2 6.800e-11 -> 6.735e-11 and R_composite
 1.811e-15 -> 1.140e-15, while H still matches 30-digit mpmath to 1e-14
 (tests/test_specfun.py).
+
+The four `asymptotic` and `compare` hashes were re-recorded when the
+Kloosterman sum K_k(n) became Rademacher's A_k(n) (one inverse
+convention, h' = [-h]_k) and the eta multiplier took its Dedekind-sum
+form: every k >= 3 term of the main term moved, and the relative error of
+`compare --T 3 --r 2` went 2.4e-7 -> 8.2e-9 at n = 50 and
+2.5e-9 -> 5.9e-12 at n = 100.
 """
 
 import hashlib
@@ -30,13 +37,13 @@ BYTES = {
     "moments --T 3 --r 2 --n-max 40 --format json":
         "bf1b68082ace8278a95526739450f0c5a9bf08e4e28d34d7955f84d4dda08a41",
     "asymptotic --T 5 --r 2 --n 60,90 --format csv":
-        "4e2f128efe4fd6d68c5985ec0b51b52ebc1b93a9814a00ee5677a893401370b3",
+        "f3f87d69e18a8708847a1d722ca2f3d058149aa89abdd0d53c3791d861a7829f",
     "asymptotic --T 5 --r 2 --n 60,90 --format json":
-        "f5826c3060ddb79efb363fbf4da99ffb149aefd618565c734ede48048f9b5758",
+        "b694eac7df58b668fd5ba89e0b8aca50474d0895cd60806202dd5c3f1e9e3daf",
     "compare --T 3 --r 2 --n 50,100 --format csv":
-        "808b6da022373e3c3c334c0065f333943b1384e4620ac10925dce088afcfd0d5",
+        "2d093d744b52dce5900a04b6275fc31db2e2666d172e848ad520cc0082e0f676",
     "compare --T 3 --r 2 --n 50,100 --format json":
-        "2b59f59d2b792e78f361bb53e6bd5a32030fed8e765945c031806c7eaae56f47",
+        "ce5fc7bf6989c4e9ad2fb64b6d5d0715a136784ab2972a561778a42442fb4c16",
     "scan --T 5 --r 2 --n 1..200 --format csv":
         "9c49a4cfcad2a60032e2b645790c5b3679ac5ff8c244ac05a209c7baeae3e2ee",
     "scan --T 5 --r 2 --n 1..200 --format json":

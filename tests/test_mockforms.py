@@ -204,7 +204,7 @@ class TestThetaEtaQuotient:
         # this pins the branch structure of u_theta_star for every sign
         # of the residue rho_T(t gamma_co h)
         from trank.asymptotics import positivity_gate
-        from trank.units import chi_multiplier, mod_inverse_pair, rho_residue, u_theta_star
+        from trank.units import chi_multiplier, neg_inverse, rho_residue, u_theta_star
 
         cases = [  # (T, t, h, k) hitting rho = 0, > 0, < 0 and composite T
             (5, 1, 1, 2),
@@ -217,7 +217,7 @@ class TestThetaEtaQuotient:
             g = math.gcd(T, k)
             gco = T // g
             rho = rho_residue(T, t * gco * h)
-            inv = mod_inverse_pair(h, k)[0]
+            inv = neg_inverse(h, k)
             beta = float(positivity_gate(T, g, rho))
             z = 0.02
             tau = (h + 1j * z) / k

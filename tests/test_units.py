@@ -6,6 +6,7 @@ from math import gcd
 
 import pytest
 
+from trank.mockforms import eta_tau
 from trank.units import (
     I_POW_3_2,
     ExactUnit,
@@ -13,13 +14,12 @@ from trank.units import (
     _h_terms,
     alpha_shift,
     chi_multiplier,
-    inverse_mod,
-    jacobi_symbol,
+    chi_twelfths,
     kloosterman_partial,
     kloosterman_partials,
     kloosterman_sum,
     _kloosterman_units,
-    mod_inverse_pair,
+    neg_inverse,
     partial_phases,
     rho_residue,
     u_h,
@@ -29,25 +29,7 @@ from trank.units import (
     u_theta_star,
 )
 
-
-def brute_jacobi(a: int, n: int) -> int:
-    """(a/n) by factoring n and applying Euler's criterion per prime."""
-    result = 1
-    m = n
-    p = 3
-    # strip odd prime factors
-    while m > 1:
-        while p * p <= m and m % p:
-            p += 2
-        q = p if p * p <= m else m
-        while m % q == 0:
-            m //= q
-            if a % q == 0:
-                result = 0
-            else:
-                euler = pow(a % q, (q - 1) // 2, q)
-                result *= 1 if euler == 1 else -1
-    return result
+from helpers import dedekind_sum, rademacher_a
 
 
 class TestExactUnit:
@@ -74,47 +56,29 @@ class TestExactUnit:
 
 class TestModInverse:
     def test_examples(self):
-        assert mod_inverse_pair(0, 1) == (0, -1)
-        assert mod_inverse_pair(1, 5) == (4, -1)
+        assert neg_inverse(0, 1) == 0
+        assert neg_inverse(1, 5) == 4
+        assert neg_inverse(-3, 7) == 5  # -3 * 5 = -15 = -1 (mod 7)
 
     def test_bezout_property_random(self):
+        # -h [-h]_k - beta k = 1 for an integer beta, for h of either sign
         rng = random.Random(12)
         done = 0
         while done < 50:
             k = rng.randrange(1, 200)
-            h = rng.randrange(0, k) if k > 1 else 0
+            h = rng.randrange(-3 * k, 3 * k)
             if gcd(h, k) != 1:
                 continue
-            inv, beta = mod_inverse_pair(h, k)
+            inv = neg_inverse(h, k)
             assert 0 <= inv < k
-            assert -h * inv - beta * k == 1
-            if k > 1:
-                assert (-h * inv) % k == 1 % k
+            assert (-h * inv - 1) % k == 0
             done += 1
 
     def test_rejects_non_coprime(self):
         with pytest.raises(ValueError):
-            mod_inverse_pair(2, 4)
-
-
-class TestJacobi:
-    def test_examples(self):
-        assert jacobi_symbol(0, 1) == 1
-        assert jacobi_symbol(2, 15) == 1
-
-    def test_against_euler_criterion(self):
-        rng = random.Random(3)
-        for _ in range(60):
-            n = rng.randrange(1, 120) * 2 + 1
-            a = rng.randrange(-100, 200)
-            assert jacobi_symbol(a, n) == brute_jacobi(a, n), (a, n)
-
-    def test_multiplicative(self):
-        rng = random.Random(5)
-        for _ in range(50):
-            n = rng.randrange(0, 60) * 2 + 1
-            a, b = rng.randrange(-40, 80), rng.randrange(-40, 80)
-            assert jacobi_symbol(a * b, n) == jacobi_symbol(a, n) * jacobi_symbol(b, n)
+            neg_inverse(2, 4)
+        with pytest.raises(ValueError):
+            neg_inverse(1, 0)
 
 
 class TestResidues:
@@ -174,6 +138,31 @@ class TestChi:
     def test_rejects_both_even(self):
         with pytest.raises(ValueError):
             chi_multiplier(2, 6)
+
+    def test_equals_dedekind_form(self):
+        # chi(h, k) = e^(pi i (-1/4 - s(h, k) + (h - [-h]_k)/(12k))) for
+        # every coprime pair with k <= 60 and 0 <= h < 2k, so also past the
+        # shift h >= k that the composed laws feed in
+        for k in range(1, 61):
+            for h in range(2 * k):
+                if gcd(h, k) != 1:
+                    continue
+                expect = (Fraction(-1, 4) - dedekind_sum(h, k)
+                          + Fraction(h - pow(-h, -1, k), 12 * k))
+                assert chi_multiplier(h, k).angle == expect % 2, (h, k)
+                assert chi_twelfths(h, k) == chi_multiplier(h, k).angle * 12
+
+    @pytest.mark.parametrize("k", [14, 18, 22, 30])
+    def test_eta_law_at_k_2_mod_4(self, k):
+        # eta((h + iz)/k) = sqrt(i/z) chi(h, k) eta(([-h]_k + i/z)/k),
+        # evaluated directly at every h, on moduli k = 2 (mod 4) past the
+        # k <= 6 that the verify suites draw
+        z = 0.8 + 0.3j
+        for h in (h for h in range(k) if gcd(h, k) == 1):
+            lhs = eta_tau((h + 1j * z) / k)
+            rhs = (cmath.sqrt(1j / z) * chi_multiplier(h, k).to_complex()
+                   * eta_tau((pow(-h, -1, k) + 1j / z) / k))
+            assert abs(lhs - rhs) < 1e-10 * abs(lhs), (h, k)
 
 
 class TestUnitFactors:
@@ -235,6 +224,13 @@ class TestKloosterman:
                 assert val.value == sum(u.to_complex() for u in units), (k, n)
                 assert val.terms == len(units)
 
+    def test_equals_rademacher_a(self):
+        # K_k(n) is Rademacher's A_k(n), built here from exact Dedekind sums
+        for k in range(1, 61):
+            for n in (0, 1, 7, 10, 200, 1601):
+                expect = rademacher_a(k, n)
+                assert abs(kloosterman_sum(k, n).value - expect) < 1e-12 * k, (k, n)
+
     def test_period_in_n(self):
         for k in (2, 3, 5, 8):
             for n in range(6):
@@ -246,7 +242,7 @@ class TestKloosterman:
         # single term h=1: exact-angle route vs direct complex arithmetic
         val = kloosterman_sum(2, 0).value
         chi_inv = chi_multiplier(1, 2).inverse().to_complex()
-        hinv = inverse_mod(1, 2)
+        hinv = neg_inverse(1, 2)
         direct = (-cmath.exp(0.75j * math.pi)
                   * cmath.exp(1j * math.pi * (1 - hinv) / 24.0) * chi_inv)
         assert abs(val - direct) < 1e-14
@@ -316,7 +312,7 @@ class TestIntegerPhases:
             for h in (h for h in range(k) if gcd(h, k) == 1):
                 lead = ExactUnit(Fraction(-2 * n * h, k)) * I_POW_3_2
                 tail = chi_multiplier(h, k).inverse() * ExactUnit(
-                    Fraction(h - mod_inverse_pair(h, k)[0], 12 * k))
+                    Fraction(h - neg_inverse(h, k), 12 * k))
                 for t in (x for x in range(-half, half + 1) if x):
                     unit = lead * u_theta_star(T, t, h, k) * tail
                     scale, p, q = _base_phase(T, t, k, _h_terms(T, h, k, n))
