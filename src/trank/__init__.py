@@ -55,7 +55,6 @@ from .specfun import (
     bernoulli_half,
     bessel_i,
     bessel_integral,
-    gauss_error,
     kappa,
     kappa_h,
     mordell_h,
@@ -63,7 +62,6 @@ from .specfun import (
     taylor_identity_check,
 )
 from .units import (
-    ExactUnit,
     KloostermanValue,
     alpha_shift,
     chi_multiplier,
@@ -78,7 +76,6 @@ __all__ = [
     "ConvergenceError",
     "CuspExpansionReport",
     "EvaluationPoint",
-    "ExactUnit",
     "IntegralParams",
     "KloostermanValue",
     "MomentTable",
@@ -97,7 +94,6 @@ __all__ = [
     "chi_multiplier",
     "comparison_rows",
     "garvan_scan",
-    "gauss_error",
     "kappa",
     "kappa_h",
     "kloosterman_partial",

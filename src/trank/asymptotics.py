@@ -44,13 +44,15 @@ from .specfun import (
 )
 from .units import (
     I_POW_3_2,
+    _h_terms,
     alpha_shift,
     chi_multiplier,
     kloosterman_partials,
     kloosterman_sum,
     neg_inverse,
+    partial_phases,
+    phase,
     rho_residue,
-    u_h_star,
 )
 
 
@@ -279,7 +281,7 @@ def moment_cusp_mu(T: int, r: int, h: int, k: int, z: complex) -> complex:
     """The modular-part main term of the moment generating function near
     the cusp h/k."""
     hinv = neg_inverse(h, k)
-    unit = (I_POW_3_2 * chi_multiplier(h, k).inverse()).to_complex()
+    unit = phase(I_POW_3_2 - chi_multiplier(h, k))
     pref = (-unit * cmath.exp(1j * math.pi * (h - hinv) / (12.0 * k))
             * cmath.exp(-math.pi / (12.0 * k) * (z - 1.0 / z)))
     return pref * sum(
@@ -295,18 +297,20 @@ def moment_cusp_mordell(T: int, r: int, t: int, l: int, h: int, k: int,
         raise ValueError("the Mordell part only has t != 0 summands")
     g = gcd(T, k)
     gco = T // g
+    alpha = float(alpha_shift(T, t, l, k // g))  # checks t and l
     rho = rho_residue(T, t * gco * h)
     beta = positivity_gate(T, g, rho)  # may be <= 0 here; no gate applies
+    # partial_phases carries e^(-2 pi i nh/k), which is 1 at n = 0: unit l
+    # is u_H*(T, t, l, h, k) alone
+    scale, nums, den = partial_phases(T, t, k, _h_terms(T, h, k, 0))
     pref = (gco ** -1.5 * math.sqrt(T / k)
             * cmath.exp(-math.pi * z / (12.0 * k))
             * cmath.exp(math.pi * float(beta) / (k * z))
-            * u_h_star(T, t, l, h, k).to_complex())
+            * (scale * phase(nums[l], den)))
     acc = 0j
     for (a, b, c) in kappa_h_support(r):
         acc += (kappa_h(a, b, c).to_float() * z ** (-0.5 - a - c) * (k * T) ** a
-                * g**c
-                * script_h(c, T, float(alpha_shift(T, t, l, k // g)), gco,
-                           rho / T, k, z))
+                * g**c * script_h(c, T, alpha, gco, rho / T, k, z))
     return pref * acc
 
 

@@ -29,6 +29,7 @@ from .units import (
     alpha_shift,
     chi_multiplier,
     neg_inverse,
+    phase,
     rho_residue,
     u_h,
     u_mu,
@@ -100,20 +101,6 @@ def theta_tau(v: complex, tau: complex) -> complex:
         nu = m + 0.5
         acc += cmath.exp(1j * math.pi * nu * nu * tau + 2j * math.pi * nu * (v + 0.5))
     return acc
-
-
-def theta_product_tau(v: complex, tau: complex) -> complex:
-    """The triple-product form of `theta_tau`, for cross-checking."""
-    tau = _require_upper(tau)
-    q = cmath.exp(2j * math.pi * tau)
-    w = cmath.exp(2j * math.pi * v)
-    n_cut = max(int((-41.5 - 2.0 * math.pi * abs(v.imag)) / math.log(abs(q))) + 3, 4)
-    if n_cut > 2_000_000:
-        raise ConvergenceError("theta product needs too many terms")
-    prod = 1.0 + 0j
-    for n in range(1, n_cut + 1):
-        prod *= (1.0 - q**n) * (1.0 - w * q ** (n - 1)) * (1.0 - q**n / w)
-    return -1j * cmath.exp(1j * math.pi * tau / 4.0) * cmath.exp(-1j * math.pi * v) * prod
 
 
 def zwegers_a_tau(u: complex, v: complex, tau: complex,
@@ -409,7 +396,7 @@ def _trial_eta(rng):
     h, k, z = _draw_modular(rng)
     inv = neg_inverse(h, k)
     lhs = eta_tau((h + 1j * z) / k)
-    rhs = _sqrt_i_over(z) * chi_multiplier(h, k).to_complex() * eta_tau((inv + 1j / z) / k)
+    rhs = _sqrt_i_over(z) * phase(chi_multiplier(h, k)) * eta_tau((inv + 1j / z) / k)
     return lhs, rhs, {"h": h, "k": k, "z": z}
 
 
@@ -434,7 +421,7 @@ def _trial_theta_modular(rng):
     inv = neg_inverse(h, k)
     v = complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.2, 0.2))
     lhs = theta_tau(v, (h + 1j * z) / k)
-    rhs = (_sqrt_i_over(z) * (chi_multiplier(h, k) ** 3).to_complex()
+    rhs = (_sqrt_i_over(z) * phase(3 * chi_multiplier(h, k))
            * cmath.exp(-math.pi * k * v * v / z)
            * theta_tau(1j * v / z, (inv + 1j / z) / k))
     return lhs, rhs, {"h": h, "k": k, "z": z, "v": v}
@@ -477,7 +464,7 @@ def _trial_muhat_modular(rng):
                        and lattice_distance(x, tau_rhs) >= 0.03 for x in uv),
         200)
     lhs = mu_hat_tau(-1j * u * z, -1j * v * z, tau_lhs, margin=0.02)
-    rhs = ((chi_multiplier(h, k) ** -3).to_complex() * _sqrt_i_over(z)
+    rhs = (phase(-3 * chi_multiplier(h, k)) * _sqrt_i_over(z)
            * cmath.exp(-math.pi * k * z * (u - v) ** 2)
            * mu_hat_tau(u, v, tau_rhs, margin=0.02))
     return lhs, rhs, {"h": h, "k": k, "z": z, "u": u, "v": v}
@@ -551,7 +538,7 @@ def _trial_prop_4_1(rng):
     rhs = (-2.0 / gco * _sqrt_i_over(z)
            * cmath.sin(math.pi * u) * cmath.exp(math.pi * k * T * u * u / z)
            * cmath.exp(1j * math.pi * (h + 1j * z) / (12.0 * k))
-           / (chi_multiplier(h, k).to_complex() * eta_tau((neg_inverse(h, k) + 1j / z) / k))
+           / (phase(chi_multiplier(h, k)) * eta_tau((neg_inverse(h, k) + 1j / z) / k))
            * eta_tau(tau3) ** 3
            / theta_tau(1j * u * T / (gco * z), tau3))
     return lhs, rhs, {"h": h, "k": k, "z": z, "T": T, "u": u}
@@ -583,12 +570,12 @@ def _trial_prop_4_2(rng):
     v_mu = (rho / (gco * k)) * (inv2 + 1j / (gco * z)) - t / (gco * k) * (1 + gco * h * inv2)
     unit = u_mu(T, t, gco * h, kg)
     u_mu_arg = 1j * u * T / (gco * z)
-    mu_term = unit.to_complex() * mu_tau(u_mu_arg, v_mu, tau_mu, margin=1e-9)
+    mu_term = phase(unit) * mu_tau(u_mu_arg, v_mu, tau_mu, margin=1e-9)
     w_0 = u_mu_arg - rho * 1j / (gco * gco * k * z)
     z_h = -1j * T / (gco * gco * k * z)
     h_sum = 0j
     for l in range(kg):
-        h_sum += (u_h(T, t, l, gco * h, kg).to_complex()
+        h_sum += (phase(u_h(T, t, l, gco * h, kg))
                   * mordell_h(w_0 - float(alpha_shift(T, t, l, kg)), z_h, tol=1e-12))
     h_part = 0.5j / math.sqrt(kg) * h_sum
     total = mu_term + h_part
@@ -608,8 +595,8 @@ def _trial_prop_4_2(rng):
         v_mp = (mp.mpf(rho) / (gco * k) * (inv2 + i_over)
                 - mp.mpf(t) / (gco * k) * (1 + gco * h * inv2))
         u_mp = mp.mpc(w_0) - rho * mp.mpc(z_h) / T
-        angle = mp.mpf(unit.angle.numerator) / unit.angle.denominator
-        total = complex(unit.scale * mp.expjpi(angle) * _mu_tau_mp(u_mp, v_mp, tau_mp, mp)
+        angle = mp.mpf(unit.numerator) / unit.denominator
+        total = complex(mp.expjpi(angle) * _mu_tau_mp(u_mp, v_mp, tau_mp, mp)
                         + h_part)
     rhs = pre * total
     return lhs, rhs, {"h": h, "k": k, "z": z, "T": T, "t": t, "u": u}
@@ -648,7 +635,7 @@ def _trial_muhat_composite(rng):
            * cmath.exp(math.pi * k / z * (u - rho / (T * k)) ** 2
                        - t * t * math.pi * z / (T * T * k)
                        - 2j * math.pi * u * t / T)
-           * u_mu(T, t, h, k).to_complex()
+           * phase(u_mu(T, t, h, k))
            * mu_hat_tau(1j * u / z, v_rhs, tau_rhs, margin=0.01))
     return lhs, rhs, {"h": h, "k": k, "z": z, "T": T, "t": t, "u": u}
 

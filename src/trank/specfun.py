@@ -1,6 +1,6 @@
 """Special functions for the main-term assembly.
 
-Four groups live here:
+Three groups live here:
 
 * exact rational data: Bernoulli numbers/polynomial values at 1/2 and the
   two expansion-coefficient families kappa(a, b, c), kappaH(a, b, c) whose
@@ -9,7 +9,6 @@ Four groups live here:
 * modified Bessel functions of half-integer order on the positive axis
   (closed forms, a Miller-style downward recurrence, and an independent
   power-series oracle);
-* the Gaussian error integral E(x) = 2 int_0^x e^(-pi u^2) du;
 * quadratures: the Mordell integral H, the cosh-Gaussian line integral
   script_h over the real axis, and the Bessel-weighted integral over
   [-1, 1] that multiplies the partial Kloosterman sums.
@@ -296,15 +295,6 @@ def bessel_i(order, x):
     if not np.isfinite(out).all():
         raise ValueError(f"I_({two_nu}/2)(x) overflows double range")
     return float(out) if scalar else out
-
-
-# ---------------------------------------------------------------------------
-# Gaussian error integral
-# ---------------------------------------------------------------------------
-
-def gauss_error(x: float) -> float:
-    """E(x) = 2 int_0^x e^(-pi u^2) du = erf(sqrt(pi) x)."""
-    return math.erf(math.sqrt(math.pi) * x)
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,25 @@
-"""Exact number-theoretic unit arithmetic.
+"""Exact root-of-unity arithmetic.
 
 The transformation laws of the eta, theta, and Appell-Lerch evaluators all
-carry root-of-unity multipliers whose phases are rational multiples of pi
+carry root-of-unity multipliers e^(i pi a) whose angles a are rational,
 with mixed denominators (4, 12, k, T, ...).  Accumulating those phases in
 floating point destroys the cancellation that Kloosterman sums live on, so
-every multiplier here is an `ExactUnit`: a nonnegative real scale times
-e^(i pi angle) with the angle kept as an exact `Fraction` modulo 2.  The
-Kloosterman sums K_k(n) (`kloosterman_sum`: one integer numerator over
-12k per h) and the partial Kloosterman sums of the Mordell part build no
-`Fraction` at all (`partial_phases`): the l-free base angle of each h is
-one integer numerator over L = 12 T gamma_co k, reduced by `gcd` (every
-factor's denominator, 4, 12, k, 4k, 12k, gamma_co k or gamma_co T k,
-divides L), and the l-dependent part is an integer numerator over a
-common multiple of that; both equal, as rationals, the `Fraction` angle
-of the same unit product.
-The only lossy step is the final conversion to `complex`.
+every angle here is exact, in one of two forms:
+
+* a `Fraction` in [0, 2): the eta multiplier (`chi_multiplier`) and the
+  unit factors u_mu and u_H of Prop. 4.2 (`u_mu`, `u_h`);
+* an integer numerator over an integer denominator: one numerator over 12k
+  per h in K_k(n) (`kloosterman_sum`), and in the partial Kloosterman sums
+  of the Mordell part (`partial_phases`) an l-free base numerator over
+  L = 12 T gamma_co k, reduced by `gcd` (every factor's denominator, 4, 12,
+  k, 4k, 12k, gamma_co k or gamma_co T k, divides L), plus an l-dependent
+  numerator over a common multiple of that.
+
+`phase` is the only conversion to `complex`, and the only lossy step;
+e(a) in the docstrings below is e^(i pi a).  The numerators equal, as
+rationals, the `Fraction` angle of the same product of unit factors
+composed one factor at a time; `tests/unit_oracles.py` keeps those
+compositions as the oracles of both forms.
 """
 
 from __future__ import annotations
@@ -25,50 +30,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-
-@dataclass(frozen=True)
-class ExactUnit:
-    """value = scale * e^(i pi angle), with angle an exact rational mod 2."""
-
-    angle: Fraction
-    scale: float = 1.0
-
-    def __post_init__(self):
-        if self.scale < 0:
-            raise ValueError("scale must be nonnegative; fold signs into angle")
-        object.__setattr__(self, "angle", self.angle % 2)
-
-    @classmethod
-    def one(cls) -> "ExactUnit":
-        return cls(Fraction(0))
-
-    @classmethod
-    def from_real(cls, x: float) -> "ExactUnit":
-        """A real number as a scaled unit: |x| e^(i pi [x<0])."""
-        return cls(Fraction(0 if x >= 0 else 1), abs(x))
-
-    @classmethod
-    def minus_one_pow(cls, e: int) -> "ExactUnit":
-        return cls(Fraction(e % 2))
-
-    @property
-    def is_unimodular(self) -> bool:
-        return self.scale == 1.0
-
-    def __mul__(self, other: "ExactUnit") -> "ExactUnit":
-        return ExactUnit(self.angle + other.angle, self.scale * other.scale)
-
-    def __pow__(self, e: int) -> "ExactUnit":
-        return ExactUnit(self.angle * e, self.scale**e)
-
-    def inverse(self) -> "ExactUnit":
-        return self**-1
-
-    def to_complex(self) -> complex:
-        return self.scale * cmath.exp(1j * math.pi * float(self.angle))
+I_POW_3_2 = Fraction(3, 4)  # the angle of i^(3/2), principal branch
 
 
-I_POW_3_2 = ExactUnit(Fraction(3, 4))  # principal branch of i^(3/2)
+def phase(num: int | Fraction, den: int = 1) -> complex:
+    """e^(i pi num/den) for an exact angle: a `Fraction` (den 1) or an
+    integer numerator over an integer denominator.  The angle is reduced
+    mod 2 first, so equal angles give the same float."""
+    return cmath.exp(1j * math.pi * float(num % (2 * den) / den))
 
 
 def neg_inverse(h: int, k: int) -> int:
@@ -121,65 +90,27 @@ def chi_twelfths(h: int, k: int) -> int:
     return (h // k - alternating - (1 if m % 2 else 3)) % 24
 
 
-def chi_multiplier(h: int, k: int) -> ExactUnit:
-    """The 24th-root-of-unity multiplier of the eta transformation law,
-    eta((h + iz)/k) = sqrt(i/z) chi(h, k) eta(([-h]_k + i/z)/k)."""
-    return ExactUnit(Fraction(chi_twelfths(h, k), 12))
+def chi_multiplier(h: int, k: int) -> Fraction:
+    """The angle, in [0, 2), of the 24th-root-of-unity multiplier of the eta
+    transformation law,
+    eta((h + iz)/k) = sqrt(i/z) e^(i pi chi(h, k)) eta(([-h]_k + i/z)/k)."""
+    return Fraction(chi_twelfths(h, k), 12)
 
 
-def u_theta(T: int, t: int, h: int, k: int) -> ExactUnit:
-    """Unit factor of the transformed theta quotient (t may be any residue)."""
-    g = gcd(T, k)
-    gco = T // g
-    rho = rho_residue(T, t * gco * h)
-    inv2 = neg_inverse(gco * h, k // g)
-    u = ExactUnit.minus_one_pow((t * h * gco - rho) // T)
-    u = u * ExactUnit(Fraction((t * gco * h - rho) ** 2 * inv2, gco * T * k))
-    u = u * ExactUnit(Fraction(-2 * t * rho, gco * T * k))
-    return u
-
-
-def u_mu(T: int, t: int, h: int, k: int) -> ExactUnit:
-    """Unit factor of the transformed mu-function."""
+def u_mu(T: int, t: int, h: int, k: int) -> Fraction:
+    """Angle in [0, 2) of the unit factor of the transformed mu-function."""
     if t == 0:
         raise ValueError("u_mu requires t != 0")
     inv = neg_inverse(h, k)
     rho = rho_residue(T, t * h)
-    u = chi_multiplier(h, k) ** -3
-    u = u * ExactUnit.minus_one_pow(t * h - rho)
-    u = u * ExactUnit(Fraction(-inv * ((t * h - rho) // T) ** 2, k))
-    u = u * ExactUnit(Fraction(2 * t * rho, T * T * k))
-    return u
+    return (-3 * chi_multiplier(h, k) + (t * h - rho)
+            + Fraction(-inv * ((t * h - rho) // T) ** 2, k)
+            + Fraction(2 * t * rho, T * T * k)) % 2
 
 
-def u_theta_star(T: int, t: int, h: int, k: int) -> ExactUnit:
-    """Scaled unit factor of the transformed theta function itself.
-
-    In the rho = 0 branch the value carries a real sin(.) scale and can be
-    zero; the other two branches are unimodular.
-    """
-    if t == 0:
-        raise ValueError("u_theta_star requires t != 0")
-    g = gcd(T, k)
-    gco = T // g
-    kg = k // g
-    rho = rho_residue(T, gco * h * t)
-    inv2 = neg_inverse(gco * h, kg)
-    chi3 = chi_multiplier(gco * h, kg) ** 3
-    base = chi3 * u_theta(T, t, h, k)
-    if rho == 0:
-        angle = Fraction(g * inv2, 4 * k)
-        s = math.sin(math.pi * float(Fraction(-t * (1 + gco * h * inv2), gco * k)))
-        return base * ExactUnit(angle) * ExactUnit.from_real(-2.0 * s)
-    tail = Fraction(rho * inv2, gco * k) - Fraction(t * (1 + gco * h * inv2), gco * k)
-    if rho > 0:
-        # -i e^(i pi (g inv2/(4k) - tail))
-        return base * ExactUnit(Fraction(-1, 2) + Fraction(g * inv2, 4 * k) - tail)
-    return base * ExactUnit(Fraction(1, 2) + Fraction(g * inv2, 4 * k) + tail)
-
-
-def u_h(T: int, t: int, l: int, h: int, k: int) -> ExactUnit:
-    """Unit factor multiplying each Mordell-integral summand."""
+def u_h(T: int, t: int, l: int, h: int, k: int) -> Fraction:
+    """Angle in [0, 2) of the unit factor multiplying each Mordell-integral
+    summand."""
     if t == 0:
         raise ValueError("u_h requires t != 0")
     if not 0 <= l <= k - 1:
@@ -187,32 +118,11 @@ def u_h(T: int, t: int, l: int, h: int, k: int) -> ExactUnit:
     rho = rho_residue(T, t * h)
     half_shift = Fraction(2 * l - k + 1, 2)  # l - (k-1)/2
     alpha = (Fraction(-t, T) + half_shift) / k
-    u = ExactUnit(Fraction(-(h * k + 1), 4))
-    u = u * ExactUnit.minus_one_pow(l * h + (k - 1) * (h - 1) // 2 + t * h - rho + 1)
-    u = u * ExactUnit(Fraction(-h) * half_shift**2 / k)
-    u = u * ExactUnit(-2 * (half_shift * (Fraction(1, 2) - Fraction(t * h, T * k))
-                            + Fraction(rho, T) * alpha))
-    return u
-
-
-def u_h_star(T: int, t: int, l: int, h: int, k: int) -> ExactUnit:
-    """The composed unit in the partial Kloosterman sum.
-
-    The trailing phase is e^(pi i h/(12k)) e^(-pi i [-h]_k/(12k)): the
-    second factor is the leading phase of the reciprocal transformed eta
-    and enters with a minus sign (checked against the theta/eta quotient
-    asymptotics at every residue class of rho_T(t gamma_co h)).
-    """
-    g = gcd(T, k)
-    gco = T // g
-    kg = k // g
-    rho = rho_residue(T, t * gco * h)
-    inv = neg_inverse(h, k)
-    u = I_POW_3_2 * u_theta_star(T, t, h, k) * chi_multiplier(h, k).inverse()
-    u = u * u_h(T, t, l, gco * h, kg)
-    u = u * ExactUnit(2 * Fraction(rho, T) * alpha_shift(T, t, l, kg))
-    u = u * ExactUnit(Fraction(h, 12 * k)) * ExactUnit(Fraction(-inv, 12 * k))
-    return u
+    return (Fraction(-(h * k + 1), 4)
+            + (l * h + (k - 1) * (h - 1) // 2 + t * h - rho + 1)
+            - h * half_shift**2 / k
+            - 2 * (half_shift * (Fraction(1, 2) - Fraction(t * h, T * k))
+                   + Fraction(rho, T) * alpha)) % 2
 
 
 @dataclass(frozen=True)
@@ -227,23 +137,6 @@ class KloostermanValue:
         return self.terms == 0
 
 
-def _kloosterman_units(k: int, n: int) -> list[ExactUnit]:
-    """The summands of K_k(n) as `ExactUnit` products, in ascending h: the
-    `Fraction` oracle for `kloosterman_sum`'s integer phases."""
-    units = []
-    prefactor = ExactUnit.minus_one_pow(1) * I_POW_3_2
-    for h in range(k) if k > 1 else [0]:
-        if gcd(h, k) != 1:
-            continue
-        hinv = neg_inverse(h, k)
-        u = prefactor
-        u = u * ExactUnit(Fraction(-2 * n * h, k))
-        u = u * ExactUnit(Fraction(h - hinv, 12 * k))
-        u = u * chi_multiplier(h, k).inverse()
-        units.append(u)
-    return units
-
-
 def kloosterman_sum(k: int, n: int) -> KloostermanValue:
     """K_k(n), summed in ascending h: Rademacher's
     A_k(n) = sum_h e^(pi i s(h, k) - 2 pi i nh/k), s the Dedekind sum.
@@ -251,51 +144,33 @@ def kloosterman_sum(k: int, n: int) -> KloostermanValue:
     Each summand -i^(3/2) e(-2nh/k) e((h - [-h]_k)/(12k)) chi(h, k)^-1 is
     e^(i pi N/(12k)) with the one integer numerator
     N = (21k - 24nh + h - [-h]_k - k chi12) mod 24k, chi12 = 12 times chi's
-    angle (`chi_twelfths`); N/(12k) is, as a rational, the reduced
-    `Fraction` angle of the same `ExactUnit` product (`_kloosterman_units`),
-    so both give the same float.  K_1(n) = 1 exactly (N = 0).
+    angle (`chi_twelfths`); N/(12k) is, as a rational, the reduced angle of
+    the same product of `Fraction` angles, so both give the same float.
+    K_1(n) = 1 exactly (N = 0).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     nums = [(21 * k - 24 * n * h + h - neg_inverse(h, k) - k * chi_twelfths(h, k)) % (24 * k)
             for h in range(k) if gcd(h, k) == 1]
-    value = sum(cmath.exp(1j * math.pi * (num / (12 * k))) for num in nums)
+    value = sum(phase(num, 12 * k) for num in nums)
     return KloostermanValue(k=k, n=n, value=value, terms=len(nums))
-
-
-def _check_partial(T: int, k: int, rhos) -> None:
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if any(abs(rho) > (T - 1) // 2 for rho in rhos):
-        raise ValueError("|varrho| must be at most (T-1)/2")
 
 
 def kloosterman_partial(
     T: int, t: int, varrho: int, l: int, k: int, n: int
 ) -> KloostermanValue:
-    """Partial Kloosterman sum over h with rho_T(t gamma_co h) = varrho.
+    """Partial Kloosterman sum over h with rho_T(t gamma_co h) = varrho:
+    one bucket of `kloosterman_partials`.
 
     An empty residue class gives the zero value (an empty sum, not an
     error).  The summation index sigma of the written sum is bound to t.
     """
     if t == 0 or abs(t) > (T - 1) // 2:
         raise ValueError("t must be nonzero with |t| <= (T-1)/2")
-    _check_partial(T, k, [varrho])
-    g = gcd(T, k)
-    if not 0 <= l <= k // g - 1:
-        raise ValueError(f"l={l} outside 0..{k // g - 1}")
-    gco = T // g
-    acc = 0j
-    terms = 0
-    for h in range(k) if k > 1 else [0]:
-        if gcd(h, k) != 1:
-            continue
-        if rho_residue(T, t * gco * h) != varrho:
-            continue
-        u = ExactUnit(Fraction(-2 * n * h, k)) * u_h_star(T, t, l, h, k)
-        acc += u.to_complex()
-        terms += 1
-    return KloostermanValue(k=k, n=n, value=acc, terms=terms)
+    values = kloosterman_partials(T, k, n, [varrho])[t][varrho]
+    if not 0 <= l < len(values):
+        raise ValueError(f"l={l} outside 0..{len(values) - 1}")
+    return values[l]
 
 
 def _h_terms(T: int, h: int, k: int, n: int) -> tuple[int, int, int]:
@@ -318,16 +193,18 @@ def _h_terms(T: int, h: int, k: int, n: int) -> tuple[int, int, int]:
 
 
 def _base_phase(T: int, t: int, k: int, terms) -> tuple[float, int, int]:
-    """(scale, p, q): the l-free factors e(-2nh/k) i^(3/2) u_theta_star
+    """(scale, p, q): the l-free factors e(-2nh/k) i^(3/2) u_theta*
     chi(h, k)^-1 e((h - [-h]_k)/(12k)) of `partial_phases` as
     scale * e^(i pi p/q), with p/q in [0, 2) in lowest terms; `terms` is
-    `_h_terms(T, h, k, n)`.
+    `_h_terms(T, h, k, n)`.  u_theta* is the scaled unit factor of the
+    transformed theta function.
 
     The angle is one integer numerator over L = 12 T gamma_co k, reduced
-    by `gcd`: the t-free N0 plus u_theta's t-dependent part and
-    u_theta_star's branch tail; chi and chi^3 (at (gamma_co h, k/(T, k)))
-    enter N0 as `chi_twelfths`.  The scale is 1, except for rho = 0,
-    where it is u_theta_star's real factor |2 sin(.)|.
+    by `gcd`: the t-free N0 plus the t-dependent part of the theta
+    quotient's unit u_theta and u_theta*'s branch tail (its sign is that
+    of rho); chi and chi^3 (at (gamma_co h, k/(T, k))) enter N0 as
+    `chi_twelfths`.  The scale is 1, except for rho = 0, where it is
+    u_theta*'s real factor |2 sin(.)|.
     """
     if t == 0:
         raise ValueError("partial_phases requires t != 0")
@@ -354,16 +231,22 @@ def _base_phase(T: int, t: int, k: int, terms) -> tuple[float, int, int]:
 
 
 def partial_phases(T: int, t: int, k: int, terms) -> tuple[float, list[int], int]:
-    """The units e(-2nh/k) u_h_star(T, t, l, h, k) for l = 0..k/(T,k) - 1,
-    with `terms` = `_h_terms(T, h, k, n)`.
+    """The units e(-2nh/k) u_H*(T, t, l, h, k) for l = 0..k/(T,k) - 1,
+    with `terms` = `_h_terms(T, h, k, n)`.  u_H* is the composed unit of
+    the partial Kloosterman sum,
+    i^(3/2) u_theta* chi(h, k)^-1 u_H(T, t, l, gamma_co h, k/(T,k))
+    e^(2 pi i (rho/T) alpha) e((h - [-h]_k)/(12k)), with rho =
+    rho_T(t gamma_co h), alpha = `alpha_shift(T, t, l, k/(T,k))` and
+    u_H = `u_h`; the trailing e(-[-h]_k/(12k)) is the leading phase of the
+    reciprocal transformed eta.
 
     Returns (scale, numerators, den): unit l is scale * e^(i pi N_l / den)
-    with integers 0 <= N_l < 2 den, and N_l / den is exactly the unit's
-    `Fraction` angle.  The l-free factors give the base angle p/q, an
-    integer numerator over L = 12 T gamma_co k (`_base_phase`).  The
-    (rho/T) alpha phase of u_h cancels u_h_star's alpha_shift factor
-    exactly, and the rest of u_h's angle is num/D with D = 4TK,
-    K = k/(T,k), H = gamma_co h and w = 2l - K + 1:
+    with integers 0 <= N_l < 2 den, and N_l / den is exactly the angle of
+    that product of `Fraction` angles.  The l-free factors give the base
+    angle p/q, an integer numerator over L = 12 T gamma_co k
+    (`_base_phase`).  The (rho/T) alpha phase of u_H cancels the
+    e^(2 pi i (rho/T) alpha) factor exactly, and the rest of u_H's angle is
+    num/D with D = 4TK, K = k/(T,k), H = gamma_co h and w = 2l - K + 1:
 
         num = -(HK+1)TK + 4TK (e mod 2) - T H w^2 - 2w (TK - 2tH),
         e = lH + (K-1)(H-1)//2 + tH - rho + 1.
@@ -394,11 +277,13 @@ def kloosterman_partials(
     The t-free data of each h (`_h_terms`: both inverses, both chi
     twelfths and the t-free part of the base numerator) is computed once;
     then, for each t, h joins the bucket of its rho_T(t gamma_co h).  A
-    bucket's sums over l are accumulated in ascending h, as
-    `kloosterman_partial` does, so every value is bit-identical to it.
-    An empty bucket gives K zero values with `terms == 0`.
+    bucket's sums over l are accumulated in ascending h.  An empty bucket
+    gives K zero values with `terms == 0`.
     """
-    _check_partial(T, k, rhos)
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if any(abs(rho) > (T - 1) // 2 for rho in rhos):
+        raise ValueError("|varrho| must be at most (T-1)/2")
     half = (T - 1) // 2
     kg = k // gcd(T, k)
     gco = T // gcd(T, k)
@@ -416,7 +301,7 @@ def kloosterman_partials(
             count[t][rho] += 1
             scale, nums, den = partial_phases(T, t, k, terms)
             for l, num in enumerate(nums):
-                bucket[l] += scale * cmath.exp(1j * math.pi * (num / den))
+                bucket[l] += scale * phase(num, den)
     empty = [KloostermanValue(k=k, n=n, value=0j, terms=0)] * kg
     return {t: {rho: [KloostermanValue(k=k, n=n, value=v, terms=count[t][rho]) for v in values]
                 if count[t][rho] else empty

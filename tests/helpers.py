@@ -12,6 +12,7 @@ import math
 from fractions import Fraction
 from math import gcd
 
+from trank.errors import ConvergenceError
 from trank.qseries import spt_oracle
 
 
@@ -80,3 +81,24 @@ def rademacher_a(k: int, n: int) -> complex:
     e^(pi i s(h, k) - 2 pi i nh/k)."""
     return sum(cmath.exp(1j * math.pi * float((dedekind_sum(h, k) - Fraction(2 * n * h, k)) % 2))
                for h in range(k) if gcd(h, k) == 1)
+
+
+def gauss_error(x: float) -> float:
+    """E(x) = 2 int_0^x e^(-pi u^2) du = erf(sqrt(pi) x)."""
+    return math.erf(math.sqrt(math.pi) * x)
+
+
+def theta_product_tau(v: complex, tau: complex) -> complex:
+    """The triple-product form of `mockforms.theta_tau`, for cross-checking."""
+    tau = complex(tau)
+    if tau.imag <= 0:
+        raise ValueError("tau must lie in the upper half-plane")
+    q = cmath.exp(2j * math.pi * tau)
+    w = cmath.exp(2j * math.pi * v)
+    n_cut = max(int((-41.5 - 2.0 * math.pi * abs(v.imag)) / math.log(abs(q))) + 3, 4)
+    if n_cut > 2_000_000:
+        raise ConvergenceError("theta product needs too many terms")
+    prod = 1.0 + 0j
+    for n in range(1, n_cut + 1):
+        prod *= (1.0 - q**n) * (1.0 - w * q ** (n - 1)) * (1.0 - q**n / w)
+    return -1j * cmath.exp(1j * math.pi * tau / 4.0) * cmath.exp(-1j * math.pi * v) * prod

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -13,12 +14,14 @@ from trank.asymptotics import (
     comparison_rows,
     garvan_scan,
     moment_cusp_mordell,
+    moment_cusp_mu,
     positivity_gate,
     prop56_expansion_check,
     theorem_a_main,
     theorem_b_difference_leading,
     theorem_b_leading,
 )
+from trank.errors import TruncationError
 from trank.qseries import moment_table, spt_oracle
 from trank.specfun import kappa_support
 
@@ -302,6 +305,36 @@ class TestCuspExpansion:
     def test_mordell_summand_requires_t(self):
         with pytest.raises(ValueError):
             moment_cusp_mordell(5, 2, 0, 0, 0, 1, 0.25)
+
+    def test_l_outside_range_raises(self):
+        # k/(T, k) = 2 at (T, k) = (5, 2): l runs over 0 and 1 only
+        for l in (-1, 2, 5):
+            with pytest.raises(ValueError):
+                moment_cusp_mordell(5, 2, 1, l, 1, 2, 0.25)
+
+    def test_cusp_bytes(self):
+        # SHA-256 of repr of (main_mu, main_mordell, exact) per report, or
+        # moment_cusp_mu where the exact series does not converge at
+        # n_max = 300, and of every (t, l) summand moment_cusp_mordell;
+        # recorded before the cusp path took its units from
+        # `partial_phases`, and it must stay bit-identical
+        values = []
+        for T in (1, 5, 7, 13):
+            for h, k in ((0, 1), (1, 2), (1, 3), (2, 5)):
+                for z in (0.4, 0.2, 0.1 + 0.03j):
+                    for r in (2, 4):
+                        try:
+                            rep = prop56_expansion_check(T, r, h, k, z, n_max=300)
+                            values.append((rep.main_mu, rep.main_mordell, rep.exact))
+                        except TruncationError:
+                            values.append(moment_cusp_mu(T, r, h, k, z))
+                        half = (T - 1) // 2
+                        for t in range(-half, half + 1):
+                            if t:
+                                for l in range(k // gcd(T, k)):
+                                    values.append(moment_cusp_mordell(T, r, t, l, h, k, z))
+        digest = hashlib.sha256(repr(values).encode()).hexdigest()
+        assert digest == "015131481b750b893b85fb5be33f05167adfd4fc0ebc9e3cc88946a8460907e7"
 
 
 class TestGarvanScan:

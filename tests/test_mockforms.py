@@ -19,7 +19,6 @@ from trank.mockforms import (
     mu_tau,
     r_tau,
     taylor_moments,
-    theta_product_tau,
     theta_tau,
     verify_transformation,
     zwegers_a_t_tau,
@@ -27,7 +26,7 @@ from trank.mockforms import (
 )
 from trank.qseries import moment_generating_eval
 
-from helpers import rel_err
+from helpers import rel_err, theta_product_tau
 
 
 class TestEtaTheta:
@@ -204,7 +203,8 @@ class TestThetaEtaQuotient:
         # this pins the branch structure of u_theta_star for every sign
         # of the residue rho_T(t gamma_co h)
         from trank.asymptotics import positivity_gate
-        from trank.units import chi_multiplier, neg_inverse, rho_residue, u_theta_star
+        from trank.units import chi_multiplier, neg_inverse, phase, rho_residue
+        from unit_oracles import u_theta_star
 
         cases = [  # (T, t, h, k) hitting rho = 0, > 0, < 0 and composite T
             (5, 1, 1, 2),
@@ -225,7 +225,7 @@ class TestThetaEtaQuotient:
             leading = (gco**-0.5
                        * u_theta_star(T, t, h, k).to_complex()
                        * cmath.exp(-1j * math.pi * inv / (12.0 * k))
-                       / chi_multiplier(h, k).to_complex()
+                       / phase(chi_multiplier(h, k))
                        * cmath.exp(math.pi * beta / (k * z))
                        * cmath.exp(math.pi * t * t * z / (T * k)))
             assert abs(quotient / leading - 1) < 1e-4, (T, t, h, k)

@@ -22,7 +22,6 @@ from trank.specfun import (
     bessel_i_series,
     bessel_integral,
     bessel_integrals,
-    gauss_error,
     kappa,
     kappa_h,
     kappa_h_support,
@@ -32,7 +31,7 @@ from trank.specfun import (
     taylor_identity_check,
 )
 
-from helpers import rel_err
+from helpers import gauss_error, rel_err
 
 
 def bessel_series_mp(order: Fraction, x: float, dps: int = 40) -> float:

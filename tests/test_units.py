@@ -8,8 +8,6 @@ import pytest
 
 from trank.mockforms import eta_tau
 from trank.units import (
-    I_POW_3_2,
-    ExactUnit,
     _base_phase,
     _h_terms,
     alpha_shift,
@@ -18,18 +16,24 @@ from trank.units import (
     kloosterman_partial,
     kloosterman_partials,
     kloosterman_sum,
-    _kloosterman_units,
     neg_inverse,
     partial_phases,
+    phase,
     rho_residue,
     u_h,
-    u_h_star,
     u_mu,
-    u_theta,
-    u_theta_star,
 )
 
 from helpers import dedekind_sum, rademacher_a
+from unit_oracles import (
+    I_POW_3_2,
+    ExactUnit,
+    chi,
+    kloosterman_units,
+    u_h_star,
+    u_theta,
+    u_theta_star,
+)
 
 
 class TestExactUnit:
@@ -52,6 +56,19 @@ class TestExactUnit:
         assert u.scale == 2.5 and u.angle == 1
         with pytest.raises(ValueError):
             ExactUnit(Fraction(0), -1.0)
+
+
+class TestPhase:
+    def test_fraction_and_numerator_agree_with_the_oracle(self):
+        # equal angles give one float, whichever form and representative
+        rng = random.Random(5)
+        for _ in range(200):
+            den = rng.randrange(1, 500)
+            num = rng.randrange(-3 * den, 3 * den)
+            angle = Fraction(num, den)
+            value = phase(angle)
+            assert value == phase(num, den) == phase(angle + 4)
+            assert value == ExactUnit(angle).to_complex()
 
 
 class TestModInverse:
@@ -111,9 +128,7 @@ class TestResidues:
 
 class TestChi:
     def test_chi_0_1(self):
-        u = chi_multiplier(0, 1)
-        assert u.angle == Fraction(7, 4)  # e^(-pi i/4)
-        assert u.is_unimodular
+        assert chi_multiplier(0, 1) == Fraction(7, 4)  # e^(-pi i/4)
 
     def test_unimodular_everywhere(self):
         rng = random.Random(8)
@@ -122,7 +137,9 @@ class TestChi:
             h = rng.randrange(0, 5 * k + 1)
             if gcd(h, k) != 1:
                 continue
-            assert chi_multiplier(h, k).is_unimodular
+            angle = chi_multiplier(h, k)
+            assert 0 <= angle < 2 and (24 * angle).denominator == 1
+            assert abs(abs(phase(angle)) - 1) < 1e-15
 
     def test_shift_periodicity(self):
         # chi(h + k, k) / chi(h, k) = e^(pi i / 12), matching eta(tau + 1)
@@ -132,8 +149,8 @@ class TestChi:
             h = rng.randrange(0, 3 * k)
             if gcd(h, k) != 1:
                 continue
-            ratio = chi_multiplier(h + k, k) * chi_multiplier(h, k).inverse()
-            assert ratio.angle == Fraction(1, 12)
+            ratio = chi_multiplier(h + k, k) - chi_multiplier(h, k)
+            assert ratio % 2 == Fraction(1, 12)
 
     def test_rejects_both_even(self):
         with pytest.raises(ValueError):
@@ -149,8 +166,8 @@ class TestChi:
                     continue
                 expect = (Fraction(-1, 4) - dedekind_sum(h, k)
                           + Fraction(h - pow(-h, -1, k), 12 * k))
-                assert chi_multiplier(h, k).angle == expect % 2, (h, k)
-                assert chi_twelfths(h, k) == chi_multiplier(h, k).angle * 12
+                assert chi_multiplier(h, k) == expect % 2, (h, k)
+                assert chi_twelfths(h, k) == chi_multiplier(h, k) * 12
 
     @pytest.mark.parametrize("k", [14, 18, 22, 30])
     def test_eta_law_at_k_2_mod_4(self, k):
@@ -160,7 +177,7 @@ class TestChi:
         z = 0.8 + 0.3j
         for h in (h for h in range(k) if gcd(h, k) == 1):
             lhs = eta_tau((h + 1j * z) / k)
-            rhs = (cmath.sqrt(1j / z) * chi_multiplier(h, k).to_complex()
+            rhs = (cmath.sqrt(1j / z) * phase(chi_multiplier(h, k))
                    * eta_tau((pow(-h, -1, k) + 1j / z) / k))
             assert abs(lhs - rhs) < 1e-10 * abs(lhs), (h, k)
 
@@ -177,8 +194,8 @@ class TestUnitFactors:
                 continue
             t = rng.choice([x for x in range(-(T - 1) // 2, (T - 1) // 2 + 1) if x])
             l = rng.randrange(0, k)
-            assert u_mu(T, t, h, k).is_unimodular
-            assert u_h(T, t, l, h, k).is_unimodular
+            assert 0 <= u_mu(T, t, h, k) < 2
+            assert 0 <= u_h(T, t, l, h, k) < 2
             assert u_theta(T, t, h, k).is_unimodular
             checked += 1
 
@@ -192,7 +209,8 @@ class TestUnitFactors:
 
     def test_requires_nonzero_t(self):
         for fn in (lambda: u_mu(5, 0, 1, 2), lambda: u_theta_star(5, 0, 1, 2),
-                   lambda: u_h(5, 0, 0, 1, 2), lambda: u_h_star(5, 0, 0, 1, 2)):
+                   lambda: u_h(5, 0, 0, 1, 2), lambda: u_h_star(5, 0, 0, 1, 2),
+                   lambda: partial_phases(5, 0, 2, _h_terms(5, 1, 2, 0))):
             with pytest.raises(ValueError):
                 fn()
 
@@ -200,7 +218,7 @@ class TestUnitFactors:
 class TestKloosterman:
     def test_K1_exact(self):
         for n in range(101):
-            (unit,) = _kloosterman_units(1, n)
+            (unit,) = kloosterman_units(1, n)
             assert unit.angle == 0 and unit.scale == 1.0
             assert kloosterman_sum(1, n).value == 1
 
@@ -219,7 +237,7 @@ class TestKloosterman:
         # the Fraction summands' float sum bit for bit
         for k in range(1, 61):
             for n in (0, 1, 7, 200, 221, 1600, 5599):
-                units = _kloosterman_units(k, n)
+                units = kloosterman_units(k, n)
                 val = kloosterman_sum(k, n)
                 assert val.value == sum(u.to_complex() for u in units), (k, n)
                 assert val.terms == len(units)
@@ -241,7 +259,7 @@ class TestKloosterman:
     def test_K2_two_ways(self):
         # single term h=1: exact-angle route vs direct complex arithmetic
         val = kloosterman_sum(2, 0).value
-        chi_inv = chi_multiplier(1, 2).inverse().to_complex()
+        chi_inv = phase(-chi_multiplier(1, 2))
         hinv = neg_inverse(1, 2)
         direct = (-cmath.exp(0.75j * math.pi)
                   * cmath.exp(1j * math.pi * (1 - hinv) / 24.0) * chi_inv)
@@ -265,6 +283,14 @@ class TestKloosterman:
                         expect = (cmath.exp(-2j * math.pi * n * h / k)
                                   * u_h_star(T, t, l, h, k).to_complex())
                     assert abs(got - expect) < 1e-14
+
+    def test_partial_rejects_l_outside_range(self):
+        # k/(T, k) = 2 at (T, k) = (5, 2): l runs over 0 and 1 only
+        for l in (-1, 2, 5):
+            with pytest.raises(ValueError):
+                kloosterman_partial(5, 1, 0, l, 2, 3)
+        with pytest.raises(ValueError):
+            kloosterman_partial(5, 3, 0, 0, 2, 3)  # |t| > (T-1)/2
 
     def test_partial_bounded_by_class_size(self):
         # each summand is a unit times at worst the |2 sin| scale of the
@@ -311,7 +337,7 @@ class TestIntegerPhases:
         for k in range(1, 31):
             for h in (h for h in range(k) if gcd(h, k) == 1):
                 lead = ExactUnit(Fraction(-2 * n * h, k)) * I_POW_3_2
-                tail = chi_multiplier(h, k).inverse() * ExactUnit(
+                tail = chi(h, k).inverse() * ExactUnit(
                     Fraction(h - neg_inverse(h, k), 12 * k))
                 for t in (x for x in range(-half, half + 1) if x):
                     unit = lead * u_theta_star(T, t, h, k) * tail
