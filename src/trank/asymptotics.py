@@ -44,15 +44,14 @@ from .specfun import (
 )
 from .units import (
     I_POW_3_2,
-    _h_terms,
     alpha_shift,
     chi_multiplier,
     kloosterman_partials,
     kloosterman_sum,
     neg_inverse,
-    partial_phases,
     phase,
     rho_residue,
+    unit_h_star,
 )
 
 
@@ -300,13 +299,10 @@ def moment_cusp_mordell(T: int, r: int, t: int, l: int, h: int, k: int,
     alpha = float(alpha_shift(T, t, l, k // g))  # checks t and l
     rho = rho_residue(T, t * gco * h)
     beta = positivity_gate(T, g, rho)  # may be <= 0 here; no gate applies
-    # partial_phases carries e^(-2 pi i nh/k), which is 1 at n = 0: unit l
-    # is u_H*(T, t, l, h, k) alone
-    scale, nums, den = partial_phases(T, t, k, _h_terms(T, h, k, 0))
     pref = (gco ** -1.5 * math.sqrt(T / k)
             * cmath.exp(-math.pi * z / (12.0 * k))
             * cmath.exp(math.pi * float(beta) / (k * z))
-            * (scale * phase(nums[l], den)))
+            * unit_h_star(T, t, l, h, k))
     acc = 0j
     for (a, b, c) in kappa_h_support(r):
         acc += (kappa_h(a, b, c).to_float() * z ** (-0.5 - a - c) * (k * T) ** a

@@ -267,6 +267,15 @@ def partial_phases(T: int, t: int, k: int, terms) -> tuple[float, list[int], int
     return scale, nums, den
 
 
+def unit_h_star(T: int, t: int, l: int, h: int, k: int) -> complex:
+    """u_H*(T, t, l, h, k), the composed unit of `partial_phases`, as a
+    complex: unit l of `partial_phases` at n = 0, where e(-2nh/k) = 1."""
+    scale, nums, den = partial_phases(T, t, k, _h_terms(T, h, k, 0))
+    if not 0 <= l < len(nums):
+        raise ValueError(f"l={l} outside 0..{len(nums) - 1}")
+    return scale * phase(nums[l], den)
+
+
 def kloosterman_partials(
     T: int, k: int, n: int, rhos
 ) -> dict[int, dict[int, list[KloostermanValue]]]:

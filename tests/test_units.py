@@ -22,6 +22,7 @@ from trank.units import (
     rho_residue,
     u_h,
     u_mu,
+    unit_h_star,
 )
 
 from helpers import dedekind_sum, rademacher_a
@@ -29,6 +30,7 @@ from unit_oracles import (
     I_POW_3_2,
     ExactUnit,
     chi,
+    kloosterman_partial as oracle_partial,
     kloosterman_units,
     u_h_star,
     u_theta,
@@ -327,6 +329,20 @@ class TestIntegerPhases:
                             assert Fraction(num, den) == unit.angle
                             assert scale == unit.scale
 
+    def test_unit_h_star_is_the_oracle_unit(self):
+        # unit l of partial_phases at n = 0, equal to u_H* as a complex bit
+        # for bit; an l outside 0..k/(T,k)-1 raises ValueError
+        for T, k in ((5, 2), (7, 9), (9, 6), (13, 10)):
+            half = (T - 1) // 2
+            kg = k // gcd(T, k)
+            for t in (x for x in range(-half, half + 1) if x):
+                for h in (h for h in range(k) if gcd(h, k) == 1):
+                    for l in range(kg):
+                        assert unit_h_star(T, t, l, h, k) == u_h_star(T, t, l, h, k).to_complex()
+        for l in (-1, 2):
+            with pytest.raises(ValueError):
+                unit_h_star(5, 1, l, 1, 2)
+
     @pytest.mark.parametrize("T", range(3, 24, 2))
     def test_base_angle_to_k30(self, T):
         # k <= 30, every coprime h and t != 0, at n = 1600: the integer base
@@ -346,8 +362,10 @@ class TestIntegerPhases:
                     assert scale == unit.scale
 
     def test_buckets_equal_partial_sums(self):
-        # one pass over h gives kloosterman_partial bit for bit, for every
-        # t and rho, empty buckets included
+        # the one pass over h gives, bit for bit and with the same term
+        # count, the sum over the coprime h of each rho class of the
+        # composed `ExactUnit`s in ascending h, for every t and rho, empty
+        # buckets included
         for T in (3, 5, 9, 15, 21):
             half = (T - 1) // 2
             ts = [x for x in range(-half, half + 1) if x]
@@ -361,6 +379,7 @@ class TestIntegerPhases:
                     for rho, values in buckets.items():
                         assert len(values) == kg
                         for l, value in enumerate(values):
+                            assert value == oracle_partial(T, t, rho, l, k, n)
                             assert value == kloosterman_partial(T, t, rho, l, k, n)
 
     def test_buckets_only_for_requested_rho(self):

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import gcd
 
 from trank import units
-from trank.units import alpha_shift, chi_multiplier, neg_inverse, rho_residue, u_h
+from trank.units import KloostermanValue, alpha_shift, chi_multiplier, neg_inverse, rho_residue, u_h
 
 
 @dataclass(frozen=True)
@@ -138,3 +138,18 @@ def kloosterman_units(k: int, n: int) -> list[ExactUnit]:
         u = u * chi(h, k).inverse()
         out.append(u)
     return out
+
+
+def kloosterman_partial(T: int, t: int, varrho: int, l: int, k: int, n: int) -> KloostermanValue:
+    """The partial Kloosterman sum over h with rho_T(t gamma_co h) = varrho:
+    e(-2nh/k) u_H*(T, t, l, h, k) composed as `ExactUnit`s and summed in
+    ascending h.  An empty residue class gives the zero value."""
+    gco = T // gcd(T, k)
+    acc = 0j
+    terms = 0
+    for h in range(k):
+        if gcd(h, k) != 1 or rho_residue(T, t * gco * h) != varrho:
+            continue
+        acc += (ExactUnit(Fraction(-2 * n * h, k)) * u_h_star(T, t, l, h, k)).to_complex()
+        terms += 1
+    return KloostermanValue(k=k, n=n, value=acc, terms=terms)
