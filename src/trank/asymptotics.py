@@ -159,11 +159,13 @@ def theorem_a_main(query: AsymptoticQuery) -> TermBreakdown:
 
     The mu part evaluates each Bessel order once, for every k at once.
     The Mordell part is assembled in three passes: the partial Kloosterman
-    sums of each (gamma, k) from one pass over h, bucketed by t and varrho;
-    the Bessel integrals, in one quadrature pass per (c, s = a + c) over
-    the alphas of every (k, varrho) group, each alpha a float that its row
-    reaches by (group, index); then the terms, summed in
-    (gamma, k, t, varrho, l, a, b, c) order, with the powers of each
+    sums of every k of a gamma from one `kloosterman_partials` call, whose
+    int64 array pass runs over blocks of at most 2^13 (t, h, l) values and
+    buckets each unit by t and varrho (k must keep 96 T^3 k^2 <= 2^53,
+    else `ValueError`); the Bessel integrals, in one quadrature pass per
+    (c, s = a + c) over the alphas of every (k, varrho) group, each alpha a
+    float that its row reaches by (group, index); then the terms, summed
+    in (gamma, k, t, varrho, l, a, b, c) order, with the powers of each
     (k, varrho, a, b, c) computed once.
     """
     T, r, n = query.T, query.r, query.n
@@ -196,28 +198,28 @@ def theorem_a_main(query: AsymptoticQuery) -> TermBreakdown:
 
     abc = kappa_h_support(r)
     half = (T - 1) // 2
+    ts = [t for t in range(-half, half + 1) if t]
     rows = []  # (gamma, t, varrho, k, l, index into the (k, varrho) group, partial sum)
     alphas: dict = {}  # (k, varrho) -> the float alphas of that group, one per (t, l)
     betas: dict = {}  # gamma -> {varrho: gate}
     for gamma in (d for d in range(1, T + 1) if T % d == 0):
         betas[gamma] = {rho: positivity_gate(T, gamma, rho) for rho in range(-half, half + 1)}
         gated = [rho for rho, beta in betas[gamma].items() if beta > 0]
-        for k in range(1, query.cap + 1):
-            if gcd(T, k) != gamma:
-                continue
+        ks = [k for k in range(1, query.cap + 1) if gcd(T, k) == gamma]
+        out.dropped_terms += (T - 1) * (T - len(gated)) * sum(k // gamma for k in ks) * len(abc)
+        # rho_T(t gamma_co h) is a multiple of gamma_co = T / gamma
+        reachable = [rho for rho in gated if rho % (T // gamma) == 0]
+        if not reachable:
+            continue
+        for k, (counts, sums) in zip(ks, kloosterman_partials(T, ks, n, reachable)):
             K = k // gamma
-            out.dropped_terms += (T - 1) * (T - len(gated)) * K * len(abc)
-            # rho_T(t gamma_co h) is a multiple of gamma_co = T / gamma
-            reachable = [rho for rho in gated if rho % (T // gamma) == 0]
-            if not reachable:
-                continue
-            for t, partials in kloosterman_partials(T, k, n, reachable).items():
-                for rho in reachable:
-                    if partials[rho][0].is_empty:
+            for t, t_counts, t_sums in zip(ts, counts.tolist(), sums.tolist()):
+                for rho, count, values in zip(reachable, t_counts, t_sums):
+                    if not count:
                         continue
                     group = alphas.setdefault((k, rho), [])
-                    for l, kv in enumerate(partials[rho]):
-                        rows.append((gamma, t, rho, k, l, len(group), kv.value))
+                    for l, value in enumerate(values):
+                        rows.append((gamma, t, rho, k, l, len(group), value))
                         # float(alpha_shift(T, t, l, K)): int / int is correctly rounded
                         group.append((-2 * t + (2 * l - K + 1) * T) / (2 * T * K))
 

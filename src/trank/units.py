@@ -10,16 +10,23 @@ every angle here is exact, in one of two forms:
   unit factors u_mu and u_H of Prop. 4.2 (`u_mu`, `u_h`);
 * an integer numerator over an integer denominator: one numerator over 12k
   per h in K_k(n) (`kloosterman_sum`), and in the partial Kloosterman sums
-  of the Mordell part (`partial_phases`) an l-free base numerator over
-  L = 12 T gamma_co k, reduced by `gcd` (every factor's denominator, 4, 12,
-  k, 4k, 12k, gamma_co k or gamma_co T k, divides L), plus an l-dependent
-  numerator over a common multiple of that.
+  of the Mordell part an l-free base numerator over L = 12 T gamma_co k,
+  reduced by `gcd` (every factor's denominator, 4, 12, k, 4k, 12k,
+  gamma_co k or gamma_co T k, divides L), plus an l-dependent numerator
+  over a common multiple of that.
 
-`phase` is the only conversion to `complex`, and the only lossy step;
-e(a) in the docstrings below is e^(i pi a).  The numerators equal, as
-rationals, the `Fraction` angle of the same product of unit factors
-composed one factor at a time; `tests/unit_oracles.py` keeps those
-compositions as the oracles of both forms.
+`phase` is the only conversion of a scalar angle to `complex`, and the
+only lossy step; e(a) in the docstrings below is e^(i pi a).  The partial
+Kloosterman sums (`kloosterman_partials`) take the same numerators as
+int64 arrays, in blocks of at most `_BLOCK_VALUES` = 2^13 (t, h, l)
+values, exact while 96 T^3 k^2 <= 2^53 (`_check_range`; past that,
+`ValueError`), and convert them with `np.exp`, which gives the complex
+that `phase` gives.
+The numerators equal, as rationals, the `Fraction` angle of the same
+product of unit factors composed one factor at a time;
+`tests/unit_oracles.py` keeps those compositions as the oracles of both
+forms, and the scalar integer path of the partial sums as the reference
+of the array pass.
 """
 
 from __future__ import annotations
@@ -30,7 +37,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
+
 I_POW_3_2 = Fraction(3, 4)  # the angle of i^(3/2), principal branch
+_BLOCK_VALUES = 1 << 13  # (t, h, l) values per array pass of `kloosterman_partials`
 
 
 def phase(num: int | Fraction, den: int = 1) -> complex:
@@ -165,18 +175,30 @@ def kloosterman_partial(
     An empty residue class gives the zero value (an empty sum, not an
     error).  The summation index sigma of the written sum is bound to t.
     """
-    if t == 0 or abs(t) > (T - 1) // 2:
+    half = (T - 1) // 2
+    if t == 0 or abs(t) > half:
         raise ValueError("t must be nonzero with |t| <= (T-1)/2")
-    values = kloosterman_partials(T, k, n, [varrho])[t][varrho]
-    if not 0 <= l < len(values):
-        raise ValueError(f"l={l} outside 0..{len(values) - 1}")
-    return values[l]
+    ((counts, sums),) = kloosterman_partials(T, [k], n, [varrho])
+    if not 0 <= l < sums.shape[2]:
+        raise ValueError(f"l={l} outside 0..{sums.shape[2] - 1}")
+    i = t + half - (t > 0)
+    return KloostermanValue(k=k, n=n, value=complex(sums[i, 0, l]), terms=int(counts[i, 0]))
+
+
+def _check_range(T: int, k: int) -> None:
+    """Every numerator of `_unit_numerators` is below 2 den <= 96 T^3 k^2 and
+    every int64 product below 2^62 while 96 T^3 k^2 <= 2^53, so each
+    numerator and denominator is exact as a float and their quotient is
+    the correctly rounded angle that `phase` takes."""
+    if 96 * T**3 * k * k > 2**53:
+        raise ValueError(f"k={k} is past the int64 range of the Mordell units "
+                         f"at T={T}: 96 T^3 k^2 must be at most 2^53")
 
 
 def _h_terms(T: int, h: int, k: int, n: int) -> tuple[int, int, int]:
     """(H, inv2, N0), the t-free data of one h: H = gamma_co h,
-    inv2 = [-H]_(k/(T,k)), and N0, the part of `_base_phase`'s numerator
-    over L = 12 T gamma_co k that does not depend on t: the angles of
+    inv2 = [-H]_(k/(T,k)), and N0, the t-free part of the base numerator
+    over L = 12 T gamma_co k, reduced mod 2L: the angles of
     e(-2nh/k) i^(3/2), chi(H, k/(T,k))^3, e(g inv2/(4k)), chi(h, k)^-1 and
     e((h - [-h]_k)/(12k))."""
     g = gcd(T, k)
@@ -189,130 +211,167 @@ def _h_terms(T: int, h: int, k: int, n: int) -> tuple[int, int, int]:
           + 3 * T * T * inv2  # g inv2/(4k)
           - T * gco * k * chi_twelfths(h, k)  # chi^-1
           + T * gco * (h - inv))  # e((h - [-h]_k)/(12k))
-    return H, inv2, N0
+    return H, inv2, N0 % (24 * T * gco * k)
 
 
-def _base_phase(T: int, t: int, k: int, terms) -> tuple[float, int, int]:
-    """(scale, p, q): the l-free factors e(-2nh/k) i^(3/2) u_theta*
-    chi(h, k)^-1 e((h - [-h]_k)/(12k)) of `partial_phases` as
-    scale * e^(i pi p/q), with p/q in [0, 2) in lowest terms; `terms` is
-    `_h_terms(T, h, k, n)`.  u_theta* is the scaled unit factor of the
-    transformed theta function.
+def _unit_rows(T: int, n: int, pairs, ts, rhos) -> dict[str, np.ndarray]:
+    """The l-free data of the units e(-2nh/k) u_H*(T, t, l, h, k), one
+    row per (k, h) of `pairs` (h coprime to k) and t of `ts` whose
+    rho = rho_T(t gamma_co h) is in `rhos`, in (k, h, t) order, as int64
+    and float64 arrays; "at" is the row's index among all (k, h, t) and
+    "j" its rho's index in `rhos`.
 
-    The angle is one integer numerator over L = 12 T gamma_co k, reduced
-    by `gcd`: the t-free N0 plus the t-dependent part of the theta
-    quotient's unit u_theta and u_theta*'s branch tail (its sign is that
-    of rho); chi and chi^3 (at (gamma_co h, k/(T, k))) enter N0 as
-    `chi_twelfths`.  The scale is 1, except for rho = 0, where it is
-    u_theta*'s real factor |2 sin(.)|.
+    With H = gamma_co h, K = k/(T,k), inv2 = [-H]_K and L = 12 T gamma_co k,
+    a row holds the base angle p/q in [0, 2), in lowest terms, of the
+    l-free factors e(-2nh/k) i^(3/2) u_theta* chi(h, k)^-1
+    e((h - [-h]_k)/(12k)), with its scale: 1, except for rho = 0, where it
+    is u_theta*'s real factor |2 sin(.)|.  Its numerator over L is N0
+    (`_h_terms`) plus the t-dependent part of the theta quotient's unit
+    u_theta and u_theta*'s branch tail (its sign is that of rho); chi and
+    chi^3 (at (H, K)) enter N0 as `chi_twelfths`.  The tH - rho = T m
+    terms are reduced mod 2L first (m mod 2 and m^2 inv2 mod 2K, since
+    2L = 24 T^2 K), as is the l-free constant c = -(HK + 1) T K of
+    `_unit_numerators` mod 2D, D = 4 T K.
     """
-    if t == 0:
-        raise ValueError("partial_phases requires t != 0")
-    gco = T // gcd(T, k)
-    H, inv2, N = terms
-    rho = rho_residue(T, t * H)
-    L = 12 * T * gco * k
-    tail = 12 * T * (rho * inv2 - t * (1 + H * inv2))  # L (rho inv2 - t(1 + H inv2))/(gco k)
-    N += (((t * H - rho) // T) * L  # u_theta
-          + 12 * ((t * H - rho) ** 2 * inv2 - 2 * t * rho))
-    scale = 1.0
-    if rho > 0:
-        N -= L // 2 + tail
-    elif rho < 0:
-        N += L // 2 + tail
-    else:
-        s = math.sin(math.pi * (-t * (1 + H * inv2) / (gco * k)))
-        scale = abs(-2.0 * s)
-        if s > 0:
-            N += L
-    N %= 2 * L
-    reduce = gcd(N, L)
-    return scale, N // reduce, L // reduce
-
-
-def partial_phases(T: int, t: int, k: int, terms) -> tuple[float, list[int], int]:
-    """The units e(-2nh/k) u_H*(T, t, l, h, k) for l = 0..k/(T,k) - 1,
-    with `terms` = `_h_terms(T, h, k, n)`.  u_H* is the composed unit of
-    the partial Kloosterman sum,
-    i^(3/2) u_theta* chi(h, k)^-1 u_H(T, t, l, gamma_co h, k/(T,k))
-    e^(2 pi i (rho/T) alpha) e((h - [-h]_k)/(12k)), with rho =
-    rho_T(t gamma_co h), alpha = `alpha_shift(T, t, l, k/(T,k))` and
-    u_H = `u_h`; the trailing e(-[-h]_k/(12k)) is the leading phase of the
-    reciprocal transformed eta.
-
-    Returns (scale, numerators, den): unit l is scale * e^(i pi N_l / den)
-    with integers 0 <= N_l < 2 den, and N_l / den is exactly the angle of
-    that product of `Fraction` angles.  The l-free factors give the base
-    angle p/q, an integer numerator over L = 12 T gamma_co k
-    (`_base_phase`).  The (rho/T) alpha phase of u_H cancels the
-    e^(2 pi i (rho/T) alpha) factor exactly, and the rest of u_H's angle is
-    num/D with D = 4TK, K = k/(T,k), H = gamma_co h and w = 2l - K + 1:
-
-        num = -(HK+1)TK + 4TK (e mod 2) - T H w^2 - 2w (TK - 2tH),
-        e = lH + (K-1)(H-1)//2 + tH - rho + 1.
-    """
-    scale, p, q = _base_phase(T, t, k, terms)
-    kg = k // gcd(T, k)
-    H = terms[0]
-    rho = rho_residue(T, t * H)
+    cols = []
+    for k, h in pairs:
+        g = gcd(T, k)
+        cols.append((k // g, T // g * k, *_h_terms(T, h, k, n)))
+    kg, gk, H, inv2, N0 = (np.repeat(np.array(col, dtype=np.int64), len(ts)) for col in zip(*cols))
+    t = np.tile(np.array(ts, dtype=np.int64), len(pairs))
+    half = (T - 1) // 2
+    rho = (t * H + half) % T - half
+    slot = np.full(T, -1)  # rho mod T -> its index in rhos
+    slot[[x % T for x in rhos]] = range(len(rhos))
+    at = np.flatnonzero(slot[rho % T] >= 0)
+    kg, gk, H, inv2, N0, t, rho = (col[at] for col in (kg, gk, H, inv2, N0, t, rho))
+    tH = t * H
+    m = (tH - rho) // T
+    mm = m % (2 * kg)
+    L = 12 * T * gk
+    tail = 12 * T * (rho * inv2 - t * (1 + H * inv2))
+    N = (N0 + m % 2 * L  # u_theta
+         + 12 * T * T * (mm * mm % (2 * kg) * inv2 % (2 * kg)) - 24 * t * rho
+         - np.sign(rho) * (L // 2 + tail))
+    s = np.sin(math.pi * (-t * (1 + H * inv2) / gk))
+    zero = rho == 0
+    N = (N + np.where(zero & (s > 0), L, 0)) % (2 * L)
+    reduce = np.gcd(N, L)
     D = 4 * T * kg
+    return {
+        "at": at, "j": slot[rho % T], "kg": kg, "H": H,
+        "e0": (kg - 1) * (H - 1) // 2 + tH - rho + 1,
+        "b": 2 * (T * kg - 2 * tH),
+        "c": -((H * kg + 1) % (2 * D)) * (T * kg) % (2 * D),
+        "p": N // reduce, "q": L // reduce,
+        "scale": np.where(zero, np.abs(-2.0 * s), 1.0),
+    }
+
+
+def _unit_numerators(T: int, rows: dict, r: np.ndarray, l: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(num, den) of unit l of row r of `_unit_rows`, for each (r, l): the
+    angle of e(-2nh/k) u_H*(T, t, l, h, k), without the scale, is exactly
+    num/den, with integers 0 <= num < 2 den.
+
+    u_H* is the composed unit of the partial Kloosterman sum,
+    i^(3/2) u_theta* chi(h, k)^-1 u_H(T, t, l, gamma_co h, k/(T,k))
+    e^(2 pi i (rho/T) alpha) e((h - [-h]_k)/(12k)), with
+    alpha = `alpha_shift(T, t, l, k/(T,k))` and u_H = `u_h`; the trailing
+    e(-[-h]_k/(12k)) is the leading phase of the reciprocal transformed
+    eta.  The (rho/T) alpha phase of u_H cancels the e^(2 pi i (rho/T) alpha)
+    factor exactly, and the rest of u_H's angle is num_l/D with D = 4TK
+    and w = 2l - K + 1:
+
+        num_l = -(HK+1)TK + 4TK (e mod 2) - T H w^2 - 2w (TK - 2tH),
+        e = lH + (K-1)(H-1)//2 + tH - rho + 1,
+
+    taken mod 2D (T H w^2 as T ((H mod 8K)(w^2 mod 8K) mod 8K)) before it
+    is multiplied by q, which is exact since den = qD:
+    num = (pD + q (num_l mod 2D)) mod 2 den.
+    """
+    kg, H, q = rows["kg"][r], rows["H"][r], rows["q"][r]
+    w = 2 * l - kg + 1
+    D = 4 * T * kg
+    num_l = (4 * T * kg * ((l * H + rows["e0"][r]) % 2)
+             - T * (H % (8 * kg) * (w * w % (8 * kg)) % (8 * kg))
+             - w * rows["b"][r] + rows["c"][r]) % (2 * D)
     den = q * D
-    e0 = (kg - 1) * (H - 1) // 2 + t * H - rho + 1
-    const = p * D - (H * kg + 1) * T * kg * q
-    nums = []
-    for l in range(kg):
-        w = 2 * l - kg + 1
-        num = 4 * T * kg * ((l * H + e0) % 2) - T * H * w * w - 2 * w * (T * kg - 2 * t * H)
-        nums.append((const + num * q) % (2 * den))
-    return scale, nums, den
+    return (rows["p"][r] * D + q * num_l) % (2 * den), den
+
+
+def _unit_values(T: int, rows: dict, r: np.ndarray, l: np.ndarray) -> np.ndarray:
+    """Unit l of row r of `_unit_rows`, for each (r, l), as complex128:
+    scale * e^(i pi num/den) with `_unit_numerators`' num and den, the
+    float `phase` gives, since num/den is correctly rounded."""
+    angle = np.divide(*_unit_numerators(T, rows, r, l))
+    return rows["scale"][r] * np.exp(1j * (math.pi * angle))
 
 
 def unit_h_star(T: int, t: int, l: int, h: int, k: int) -> complex:
-    """u_H*(T, t, l, h, k), the composed unit of `partial_phases`, as a
-    complex: unit l of `partial_phases` at n = 0, where e(-2nh/k) = 1."""
-    scale, nums, den = partial_phases(T, t, k, _h_terms(T, h, k, 0))
-    if not 0 <= l < len(nums):
-        raise ValueError(f"l={l} outside 0..{len(nums) - 1}")
-    return scale * phase(nums[l], den)
-
-
-def kloosterman_partials(
-    T: int, k: int, n: int, rhos
-) -> dict[int, dict[int, list[KloostermanValue]]]:
-    """`kloosterman_partial(T, t, rho, l, k, n)` for every t != 0 with
-    |t| <= (T-1)/2 (ascending), every rho in `rhos` and every l, from one
-    pass over h: result[t][rho][l].
-
-    The t-free data of each h (`_h_terms`: both inverses, both chi
-    twelfths and the t-free part of the base numerator) is computed once;
-    then, for each t, h joins the bucket of its rho_T(t gamma_co h).  A
-    bucket's sums over l are accumulated in ascending h.  An empty bucket
-    gives K zero values with `terms == 0`.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if any(abs(rho) > (T - 1) // 2 for rho in rhos):
-        raise ValueError("|varrho| must be at most (T-1)/2")
+    """u_H*(T, t, l, h, k), the composed unit of `_unit_numerators`, as a
+    complex: unit l of its array pass at n = 0, where e(-2nh/k) = 1."""
     half = (T - 1) // 2
+    if t == 0 or abs(t) > half:
+        raise ValueError("t must be nonzero with |t| <= (T-1)/2")
     kg = k // gcd(T, k)
-    gco = T // gcd(T, k)
-    acc = {t: {rho: [0j] * kg for rho in rhos} for t in range(-half, half + 1) if t}
-    count = {t: dict.fromkeys(rhos, 0) for t in acc}
-    for h in range(k):
-        if gcd(h, k) != 1:
-            continue
-        terms = _h_terms(T, h, k, n)
-        for t, buckets in acc.items():
-            rho = rho_residue(T, t * gco * h)
-            bucket = buckets.get(rho)
-            if bucket is None:
-                continue
-            count[t][rho] += 1
-            scale, nums, den = partial_phases(T, t, k, terms)
-            for l, num in enumerate(nums):
-                bucket[l] += scale * phase(num, den)
-    empty = [KloostermanValue(k=k, n=n, value=0j, terms=0)] * kg
-    return {t: {rho: [KloostermanValue(k=k, n=n, value=v, terms=count[t][rho]) for v in values]
-                if count[t][rho] else empty
-                for rho, values in buckets.items()}
-            for t, buckets in acc.items()}
+    if not 0 <= l < kg:
+        raise ValueError(f"l={l} outside 0..{kg - 1}")
+    _check_range(T, k)
+    rows = _unit_rows(T, 0, [(k, h)], [t], range(-half, half + 1))
+    return complex(_unit_values(T, rows, np.zeros(1, dtype=np.int64), np.array([l]))[0])
+
+
+def kloosterman_partials(T: int, ks, n: int, rhos) -> list[tuple[np.ndarray, np.ndarray]]:
+    """`kloosterman_partial(T, t, rho, l, k, n)` for every k of `ks`, every
+    t != 0 with |t| <= (T-1)/2 (ascending), every rho of `rhos` and every
+    l, as arrays: one (counts, sums) per k, counts[i, j] the number of
+    coprime h in the bucket of (t_i, rhos[j]) and sums[i, j, l] its sum.
+
+    The coprime (k, h) run in blocks whose (t, h, l) values number at most
+    `_BLOCK_VALUES` (a block may span several k or split one k's h), and a
+    single h with more values than that is split into passes of that size.
+    Each block's rows (`_unit_rows`, only those whose rho is in `rhos`)
+    are expanded over l, and their units (`_unit_values`) are added to
+    their bucket by `np.add.at`, which adds in array order: each bucket is
+    summed from zero in ascending h, the order of a scalar loop.  Only the
+    requested rho have buckets; an empty bucket sums to 0j with count 0.
+    Raises `ValueError` past the range of `_check_range`.
+    """
+    half = (T - 1) // 2
+    if any(k < 1 for k in ks):
+        raise ValueError("k must be >= 1")
+    if any(abs(rho) > half for rho in rhos):
+        raise ValueError("|varrho| must be at most (T-1)/2")
+    _check_range(T, max(ks, default=1))
+    ts = [t for t in range(-half, half + 1) if t]
+    nb = len(ts) * len(rhos)  # buckets per k
+    kgs = [k // gcd(T, k) for k in ks]
+    starts = np.cumsum([0] + [nb * kg for kg in kgs])  # each k's first value
+    counts = np.zeros(nb * len(ks), dtype=np.int64)
+    sums = np.zeros(starts[-1], dtype=complex)
+    pairs = [(a, h) for a, k in enumerate(ks) for h in range(k) if gcd(h, k) == 1] if nb else []
+    blocks, size = [[]], 0
+    for a, h in pairs:
+        if size and size + len(ts) * kgs[a] > _BLOCK_VALUES:
+            blocks.append([])
+            size = 0
+        blocks[-1].append((a, h))
+        size += len(ts) * kgs[a]
+    for block in filter(None, blocks):
+        rows = _unit_rows(T, n, [(ks[a], h) for a, h in block], ts, rhos)
+        owner = np.array([a for a, _ in block])[rows["at"] // len(ts)]  # index into ks
+        bucket = len(rhos) * (rows["at"] % len(ts)) + rows["j"]  # (t, rho) within its k
+        np.add.at(counts, nb * owner + bucket, 1)
+        kg = rows["kg"]
+        first = starts[owner] + bucket * kg  # each row's l = 0 value
+        ends = np.cumsum(kg)
+        total = int(ends[-1]) if len(ends) else 0
+        for f0 in range(0, total, _BLOCK_VALUES):
+            l = np.arange(f0, min(f0 + _BLOCK_VALUES, total))
+            i = np.searchsorted(ends, l, side="right")  # the row of each value
+            l -= ends[i] - kg[i]
+            values = _unit_values(T, rows, i, l)
+            np.add.at(sums, first[i] + l, values)
+    return [(counts[nb * a:nb * (a + 1)].reshape(len(ts), len(rhos)),
+             sums[starts[a]:starts[a + 1]].reshape(len(ts), len(rhos), kg))
+            for a, kg in enumerate(kgs)]

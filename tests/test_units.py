@@ -4,12 +4,17 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 
+from trank import units
 from trank.mockforms import eta_tau
 from trank.units import (
-    _base_phase,
+    KloostermanValue,
+    _check_range,
     _h_terms,
+    _unit_numerators,
+    _unit_rows,
     alpha_shift,
     chi_multiplier,
     chi_twelfths,
@@ -17,7 +22,6 @@ from trank.units import (
     kloosterman_partials,
     kloosterman_sum,
     neg_inverse,
-    partial_phases,
     phase,
     rho_residue,
     u_h,
@@ -29,9 +33,12 @@ from helpers import dedekind_sum, rademacher_a
 from unit_oracles import (
     I_POW_3_2,
     ExactUnit,
+    base_phase,
     chi,
     kloosterman_partial as oracle_partial,
     kloosterman_units,
+    partial_phases,
+    partial_sums,
     u_h_star,
     u_theta,
     u_theta_star,
@@ -212,7 +219,7 @@ class TestUnitFactors:
     def test_requires_nonzero_t(self):
         for fn in (lambda: u_mu(5, 0, 1, 2), lambda: u_theta_star(5, 0, 1, 2),
                    lambda: u_h(5, 0, 0, 1, 2), lambda: u_h_star(5, 0, 0, 1, 2),
-                   lambda: partial_phases(5, 0, 2, _h_terms(5, 1, 2, 0))):
+                   lambda: unit_h_star(5, 0, 0, 1, 2)):
             with pytest.raises(ValueError):
                 fn()
 
@@ -309,28 +316,51 @@ class TestKloosterman:
             assert abs(val.value) <= 2 * val.terms + 1e-9
 
 
+def _rows_for(T, k, n):
+    """`_unit_rows` for every coprime h of k and every t != 0, and the
+    (h, t) of each row."""
+    half = (T - 1) // 2
+    ts = [t for t in range(-half, half + 1) if t]
+    hs = [h for h in range(k) if gcd(h, k) == 1]
+    rows = _unit_rows(T, n, [(k, h) for h in hs], ts, range(-half, half + 1))
+    return rows, [(h, t) for h in hs for t in ts]
+
+
+def _bucket(T, t, counts, sums, j, l, k, n):
+    """The (t, rhos[j], l) bucket of a `kloosterman_partials` entry as a
+    `KloostermanValue`."""
+    i = t + (T - 1) // 2 - (t > 0)
+    return KloostermanValue(k=k, n=n, value=complex(sums[i, j, l]), terms=int(counts[i, j]))
+
+
 class TestIntegerPhases:
     @pytest.mark.parametrize("T", range(3, 24, 2))
     def test_phase_is_the_exact_angle(self, T):
-        # k <= 12, every coprime h, t != 0 and l, and a few n: the integer
-        # numerator over its denominator is the Fraction angle
-        half = (T - 1) // 2
+        # k <= 12, every coprime h, t != 0 and l, and a few n: the int64
+        # numerator over its denominator is the Fraction angle, and equals
+        # the scalar reference's Python-integer numerator
         for k in range(1, 13):
             kg = k // gcd(T, k)
-            for t in (x for x in range(-half, half + 1) if x):
-                for h in (h for h in range(k) if gcd(h, k) == 1):
-                    stars = [u_h_star(T, t, l, h, k) for l in range(kg)]
-                    for n in (0, 1, 7, 200):
-                        scale, nums, den = partial_phases(T, t, k, _h_terms(T, h, k, n))
-                        assert len(nums) == kg
-                        for num, star in zip(nums, stars):
-                            unit = ExactUnit(Fraction(-2 * n * h, k)) * star
-                            assert 0 <= num < 2 * den
-                            assert Fraction(num, den) == unit.angle
-                            assert scale == unit.scale
+            stars = {}
+            for n in (0, 1, 7, 200):
+                rows, keys = _rows_for(T, k, n)
+                r = np.repeat(np.arange(len(keys)), kg)
+                nums, dens = _unit_numerators(T, rows, r, np.tile(np.arange(kg), len(keys)))
+                for (h, t), row_nums, row_dens, scale in zip(
+                        keys, nums.reshape(-1, kg).tolist(), dens.reshape(-1, kg).tolist(),
+                        rows["scale"].tolist()):
+                    reference = partial_phases(T, t, k, _h_terms(T, h, k, n))
+                    assert (scale, row_nums, row_dens[0]) == reference
+                    for l, (num, den) in enumerate(zip(row_nums, row_dens)):
+                        if (h, t, l) not in stars:
+                            stars[(h, t, l)] = u_h_star(T, t, l, h, k)
+                        unit = ExactUnit(Fraction(-2 * n * h, k)) * stars[(h, t, l)]
+                        assert 0 <= num < 2 * den
+                        assert Fraction(num, den) == unit.angle
+                        assert scale == unit.scale
 
     def test_unit_h_star_is_the_oracle_unit(self):
-        # unit l of partial_phases at n = 0, equal to u_H* as a complex bit
+        # unit l of the array pass at n = 0, equal to u_H* as a complex bit
         # for bit; an l outside 0..k/(T,k)-1 raises ValueError
         for T, k in ((5, 2), (7, 9), (9, 6), (13, 10)):
             half = (T - 1) // 2
@@ -345,54 +375,119 @@ class TestIntegerPhases:
 
     @pytest.mark.parametrize("T", range(3, 24, 2))
     def test_base_angle_to_k30(self, T):
-        # k <= 30, every coprime h and t != 0, at n = 1600: the integer base
-        # angle is the Fraction product of the l-free factors, in lowest
-        # terms, and the scale is the product's scale
-        half = (T - 1) // 2
+        # k <= 30, every coprime h and t != 0, at n = 1600: each row's base
+        # angle p/q is the Fraction product of the l-free factors, in lowest
+        # terms, its scale is the product's scale, and both equal the
+        # scalar reference
         n = 1600
         for k in range(1, 31):
-            for h in (h for h in range(k) if gcd(h, k) == 1):
-                lead = ExactUnit(Fraction(-2 * n * h, k)) * I_POW_3_2
-                tail = chi(h, k).inverse() * ExactUnit(
-                    Fraction(h - neg_inverse(h, k), 12 * k))
-                for t in (x for x in range(-half, half + 1) if x):
-                    unit = lead * u_theta_star(T, t, h, k) * tail
-                    scale, p, q = _base_phase(T, t, k, _h_terms(T, h, k, n))
-                    assert Fraction(p, q) == unit.angle and gcd(p, q) == 1
-                    assert scale == unit.scale
+            rows, keys = _rows_for(T, k, n)
+            tails = {}
+            for (h, t), p, q, scale in zip(keys, rows["p"].tolist(), rows["q"].tolist(),
+                                           rows["scale"].tolist()):
+                if h not in tails:
+                    tails[h] = (ExactUnit(Fraction(-2 * n * h, k)) * I_POW_3_2 * chi(h, k).inverse()
+                                * ExactUnit(Fraction(h - neg_inverse(h, k), 12 * k)))
+                unit = tails[h] * u_theta_star(T, t, h, k)
+                assert Fraction(p, q) == unit.angle and gcd(p, q) == 1
+                assert scale == unit.scale
+                assert (scale, p, q) == base_phase(T, t, k, _h_terms(T, h, k, n))
 
     def test_buckets_equal_partial_sums(self):
-        # the one pass over h gives, bit for bit and with the same term
-        # count, the sum over the coprime h of each rho class of the
-        # composed `ExactUnit`s in ascending h, for every t and rho, empty
-        # buckets included
+        # each bucket is, bit for bit and with the same term count, the sum
+        # over the coprime h of its rho class of the composed `ExactUnit`s
+        # in ascending h, for every t and rho, empty buckets included
         for T in (3, 5, 9, 15, 21):
             half = (T - 1) // 2
-            ts = [x for x in range(-half, half + 1) if x]
+            rhos = list(range(-half, half + 1))
             for k in range(1, 13):
                 kg = k // gcd(T, k)
                 n = 3 * k + T
-                partials = kloosterman_partials(T, k, n, range(-half, half + 1))
-                assert list(partials) == ts
-                for t, buckets in partials.items():
-                    assert list(buckets) == list(range(-half, half + 1))
-                    for rho, values in buckets.items():
-                        assert len(values) == kg
-                        for l, value in enumerate(values):
+                ((counts, sums),) = kloosterman_partials(T, [k], n, rhos)
+                assert counts.shape == (T - 1, T) and sums.shape == (T - 1, T, kg)
+                for t in (x for x in rhos if x):
+                    for j, rho in enumerate(rhos):
+                        for l in range(kg):
+                            value = _bucket(T, t, counts, sums, j, l, k, n)
                             assert value == oracle_partial(T, t, rho, l, k, n)
                             assert value == kloosterman_partial(T, t, rho, l, k, n)
 
+    @pytest.mark.parametrize("T", range(1, 24, 2))
+    def test_buckets_equal_the_scalar_pass(self, T):
+        # every k <= 40 in one call, at four n: each bucket has the term
+        # count and the bytes (so signed zeros too) of the scalar pass, one
+        # `phase` per unit summed in ascending h
+        half = (T - 1) // 2
+        rhos = list(range(-half, half + 1))
+        ks = list(range(1, 41))
+        for n in (0, 7, 221, 1600):
+            for k, (counts, sums) in zip(ks, kloosterman_partials(T, ks, n, rhos)):
+                expect = partial_sums(T, k, n)  # in (t, rho) order
+                assert counts.ravel().tolist() == [terms for terms, _ in expect.values()]
+                values = np.array([v for _, v in expect.values()], dtype=complex)
+                assert sums.tobytes() == values.tobytes()
+
+    def test_blocks_change_no_bit(self, monkeypatch):
+        # one call for every k, one call per k, and blocks small enough to
+        # split one k's h range (64, 1000) and one h's (t, l) values (5)
+        # give the same bytes, and no array pass exceeds the block bound
+        def as_bytes(result):
+            return [(counts.tobytes(), sums.tobytes()) for counts, sums in result]
+
+        sizes = []
+        unit_values = units._unit_values
+
+        def counted(T, rows, r, l):
+            sizes.append(len(l))
+            return unit_values(T, rows, r, l)
+
+        monkeypatch.setattr(units, "_unit_values", counted)
+        ks = list(range(1, 21))
+        for T, rhos in ((15, list(range(-7, 8))), (23, [0])):
+            whole = as_bytes(kloosterman_partials(T, ks, 221, rhos))
+            assert as_bytes(kloosterman_partials(T, [k], 221, rhos)[0] for k in ks) == whole
+            for size in (5, 64, 1000, 1 << 13):
+                monkeypatch.setattr(units, "_BLOCK_VALUES", size)
+                sizes.clear()
+                assert as_bytes(kloosterman_partials(T, ks, 221, rhos)) == whole
+                assert max(sizes) <= size
+
+    def test_large_k_against_the_fraction_oracle(self):
+        # T = 5, k = 997 (gamma_co = 5, so every h is in rho = 0): buckets of
+        # the array pass equal the Fraction oracle.  At T = 23 single units
+        # do, up to the last k of `_check_range`; without the reductions
+        # mod 2L and 2D, int64 products overflow from about k = 10^4
+        T, k, n = 5, 997, 1600
+        ((counts, sums),) = kloosterman_partials(T, [k], n, [0, 1])
+        assert counts[:, 0].tolist() == [996] * 4 and not counts[:, 1].any()
+        for t, l in ((-2, 0), (1, 500), (2, 996)):
+            assert _bucket(T, t, counts, sums, 0, l, k, n) == oracle_partial(T, t, 0, l, k, n)
+        for k in (997, 20011, 87811):
+            for t, l, h in ((11, k - 1, k - 1), (-7, 0, k // 2), (3, 123, 2), (-1, k // 2, 1)):
+                expect = u_h_star(23, t, l, h, k).to_complex()
+                assert unit_h_star(23, t, l, h, k) == expect, (k, t, l, h)
+
+    def test_k_past_the_int64_range_raises(self):
+        # 96 T^3 k^2 <= 2^53 holds up to k = 87814 at T = 23
+        _check_range(23, 87814)
+        for call in (lambda: _check_range(23, 87815),
+                     lambda: kloosterman_partials(23, [1, 87815], 0, [0]),
+                     lambda: kloosterman_partial(23, 1, 0, 0, 87815, 0),
+                     lambda: unit_h_star(23, 1, 0, 1, 87815)):
+            with pytest.raises(ValueError, match="int64 range"):
+                call()
+
     def test_buckets_only_for_requested_rho(self):
         # T = 7, k = 14: gamma_co = 1, so at t = 2 h lands in the bucket of
-        # rho_7(2h); T = 1 has no t != 0
-        partials = kloosterman_partials(7, 14, 5, [3, -1])
-        assert list(partials) == [-3, -2, -1, 1, 2, 3]
-        buckets = partials[2]
-        assert list(buckets) == [3, -1]
-        assert [v.terms for v in buckets[3]] == [1, 1]  # h = 5
-        assert [v.terms for v in buckets[-1]] == [1, 1]  # h = 3
-        assert kloosterman_partials(1, 5, 5, [0]) == {}
+        # rho_7(2h); the arrays have one column per requested rho, and
+        # T = 1 has no t != 0
+        ((counts, sums),) = kloosterman_partials(7, [14], 5, [3, -1])
+        assert counts.shape == (6, 2) and sums.shape == (6, 2, 2)
+        assert counts[4].tolist() == [1, 1]  # t = 2: h = 5 and h = 3
+        assert (sums[4] != 0).all()
+        ((counts, sums),) = kloosterman_partials(1, [5], 5, [0])
+        assert counts.size == 0 and sums.size == 0
         with pytest.raises(ValueError):
-            kloosterman_partials(7, 14, 5, [4])
+            kloosterman_partials(7, [14], 5, [4])
         with pytest.raises(ValueError):
-            kloosterman_partials(7, 0, 5, [0])
+            kloosterman_partials(7, [0], 5, [0])

@@ -1,13 +1,19 @@
-"""`Fraction` oracles for the unit phases of `trank.units`.
+"""Oracles for the unit phases of `trank.units`.
 
 `trank.units` carries each phase one way: a plain `Fraction` angle
 (`chi_multiplier`, `u_mu`, `u_h`) or an integer numerator over a
-denominator (`kloosterman_sum`, `partial_phases`).  Here the same units are
-composed one factor at a time, as the formulas are written, each factor an
-`ExactUnit` (scale * e^(i pi angle), the angle an exact `Fraction` mod 2).
-The tests hold the integer numerators equal to these angles, rational for
-rational, and the package's floats equal to `ExactUnit.to_complex`, bit
-for bit.
+denominator (`kloosterman_sum`, and the int64 arrays of the partial
+Kloosterman sums' units).  Here the same units are composed one factor at
+a time, as the formulas are written, each factor an `ExactUnit`
+(scale * e^(i pi angle), the angle an exact `Fraction` mod 2).  The tests
+hold the integer numerators equal to these angles, rational for rational,
+and the package's floats equal to `ExactUnit.to_complex`, bit for bit.
+
+The scalar integer path of the partial Kloosterman sums (`base_phase`,
+`partial_phases`, `partial_sums`: Python integers, one `cmath.exp` per
+unit as in `units.phase`, and one loop over h) is kept here as a second,
+faster reference for the array pass, swept where the `Fraction`
+compositions would take too long.
 """
 
 from __future__ import annotations
@@ -19,7 +25,15 @@ from fractions import Fraction
 from math import gcd
 
 from trank import units
-from trank.units import KloostermanValue, alpha_shift, chi_multiplier, neg_inverse, rho_residue, u_h
+from trank.units import (
+    KloostermanValue,
+    _h_terms,
+    alpha_shift,
+    chi_multiplier,
+    neg_inverse,
+    rho_residue,
+    u_h,
+)
 
 
 @dataclass(frozen=True)
@@ -153,3 +167,78 @@ def kloosterman_partial(T: int, t: int, varrho: int, l: int, k: int, n: int) -> 
         acc += (ExactUnit(Fraction(-2 * n * h, k)) * u_h_star(T, t, l, h, k)).to_complex()
         terms += 1
     return KloostermanValue(k=k, n=n, value=acc, terms=terms)
+
+
+def base_phase(T: int, t: int, k: int, terms) -> tuple[float, int, int]:
+    """(scale, p, q): the l-free factors e(-2nh/k) i^(3/2) u_theta*
+    chi(h, k)^-1 e((h - [-h]_k)/(12k)) as scale * e^(i pi p/q), with p/q
+    in [0, 2) in lowest terms, from Python integers; `terms` is
+    `units._h_terms(T, h, k, n)`.  The scale is 1, except for rho = 0,
+    where it is u_theta*'s real factor |2 sin(.)|."""
+    if t == 0:
+        raise ValueError("base_phase requires t != 0")
+    gco = T // gcd(T, k)
+    H, inv2, N = terms
+    rho = rho_residue(T, t * H)
+    L = 12 * T * gco * k
+    tail = 12 * T * (rho * inv2 - t * (1 + H * inv2))  # L (rho inv2 - t(1 + H inv2))/(gco k)
+    N += (((t * H - rho) // T) * L  # u_theta
+          + 12 * ((t * H - rho) ** 2 * inv2 - 2 * t * rho))
+    scale = 1.0
+    if rho > 0:
+        N -= L // 2 + tail
+    elif rho < 0:
+        N += L // 2 + tail
+    else:
+        s = math.sin(math.pi * (-t * (1 + H * inv2) / (gco * k)))
+        scale = abs(-2.0 * s)
+        if s > 0:
+            N += L
+    N %= 2 * L
+    reduce = gcd(N, L)
+    return scale, N // reduce, L // reduce
+
+
+def partial_phases(T: int, t: int, k: int, terms) -> tuple[float, list[int], int]:
+    """(scale, numerators, den): unit l = 0..k/(T,k) - 1 of
+    e(-2nh/k) u_H*(T, t, l, h, k) is scale * e^(i pi N_l / den), with
+    integers 0 <= N_l < 2 den, from Python integers, by the formula of
+    `units._unit_numerators` without its int64 reductions."""
+    scale, p, q = base_phase(T, t, k, terms)
+    kg = k // gcd(T, k)
+    H = terms[0]
+    rho = rho_residue(T, t * H)
+    D = 4 * T * kg
+    den = q * D
+    e0 = (kg - 1) * (H - 1) // 2 + t * H - rho + 1
+    const = p * D - (H * kg + 1) * T * kg * q
+    nums = []
+    for l in range(kg):
+        w = 2 * l - kg + 1
+        num = 4 * T * kg * ((l * H + e0) % 2) - T * H * w * w - 2 * w * (T * kg - 2 * t * H)
+        nums.append((const + num * q) % (2 * den))
+    return scale, nums, den
+
+
+def partial_sums(T: int, k: int, n: int) -> dict:
+    """{(t, rho): (terms, [sum over l])} for every t != 0 and every rho,
+    each bucket summed from 0j in ascending h, each unit of
+    `partial_phases` converted as `units.phase` converts it (its
+    numerator is already reduced)."""
+    half = (T - 1) // 2
+    gco = T // gcd(T, k)
+    kg = k // gcd(T, k)
+    out = {(t, rho): (0, [0j] * kg) for t in range(-half, half + 1) if t
+           for rho in range(-half, half + 1)}
+    for h in range(k):
+        if gcd(h, k) != 1:
+            continue
+        terms = _h_terms(T, h, k, n)
+        for t in range(-half, half + 1):
+            if t:
+                rho = rho_residue(T, t * gco * h)
+                count, acc = out[(t, rho)]
+                scale, nums, den = partial_phases(T, t, k, terms)
+                out[(t, rho)] = (count + 1, [a + scale * cmath.exp(1j * math.pi * (num / den))
+                                             for a, num in zip(acc, nums)])
+    return out
