@@ -177,15 +177,10 @@ def theorem_a_main(query: AsymptoticQuery) -> TermBreakdown:
                if (kv := kloosterman_sum(k, n).value) != 0]
     # I_order(root / k) for every k of `nonzero`, one call per order on a
     # (k x 1) array: each row is its own call, with its own Miller depth.
-    # Only at x < |order| <= 5/2, past the default k_cap, does `bessel_i`
-    # sum the power series, whose leading power numpy rounds differently
-    # for an array than for a scalar; those k keep their scalar call
     args = root / np.array([[k] for k, _ in nonzero], dtype=float)
-    xs = args.ravel().tolist()
     bessels = {}
     for order in dict.fromkeys(Fraction(-3 + 2 * a + 4 * c, 2) for a, _, c, _ in coefs):
-        bessels[order] = [bessel_i(order, x) if x < abs(order) <= 2.5 else value
-                          for x, value in zip(xs, bessel_i(order, args).ravel().tolist())]
+        bessels[order] = bessel_i(order, args).ravel().tolist()
     for i, (k, kv) in enumerate(nonzero):
         for a, b, c, coef in coefs:
             term = (2.0 * math.pi * kv / k
@@ -282,9 +277,8 @@ def moment_cusp_mu(T: int, r: int, h: int, k: int, z: complex) -> complex:
     """The modular-part main term of the moment generating function near
     the cusp h/k."""
     hinv = neg_inverse(h, k)
-    unit = phase(I_POW_3_2 - chi_multiplier(h, k))
-    pref = (-unit * cmath.exp(1j * math.pi * (h - hinv) / (12.0 * k))
-            * cmath.exp(-math.pi / (12.0 * k) * (z - 1.0 / z)))
+    unit = phase(I_POW_3_2 - chi_multiplier(h, k) + Fraction(h - hinv, 12 * k))
+    pref = -unit * cmath.exp(-math.pi / (12.0 * k) * (z - 1.0 / z))
     return pref * sum(
         kappa(a, b, c).to_float() * (k * T) ** a * z ** (0.5 - a - 2 * c)
         for (a, b, c) in kappa_support(r)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -223,7 +224,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser every `main` call shares, built on first use."""
     parser = _Parser(
         prog="trank",
         description="Exact T-rank moment tables and their circle-method "

@@ -10,8 +10,13 @@ defined for odd T by
 their power moments m_T^r(n) = sum_m m^r N_T(m, n), and the
 smallest-parts function spt(n): from Andrews' generating function, and
 by brute force as an independent oracle.  T = 1 gives the crank counts,
-T = 3 the rank counts.  Floating point appears only in `moment_generating_eval`, which sums
-a finished exact table at a numeric point.
+T = 3 the rank counts.
+
+`PowerSeries` has one arithmetic operation, truncated division by a series
+with constant term +-1.  Both p(n) (1 / (q)_inf) and the moment tables
+(the weighted theta side over (q)_inf) divide by the one cached
+`euler_product`.  Floating point appears only in `moment_generating_eval`,
+which sums a finished exact table at a numeric point.
 """
 
 from __future__ import annotations
@@ -56,69 +61,27 @@ class PowerSeries:
     def __getitem__(self, n: int) -> int:
         return self.coeffs[n]
 
-    def __mul__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(self.order, other.order)
-        a = self.coeffs[: n + 1]
-        b = other.coeffs[: n + 1]
-        return PowerSeries(_convolve_truncated(a, b, n))
+    def __truediv__(self, other: "PowerSeries") -> "PowerSeries":
+        """The quotient a / b, truncated at the lower order; b[0] must be +-1.
 
-    def inverse(self) -> "PowerSeries":
-        """Multiplicative inverse; requires the constant term to be +-1."""
+        c[m] = b[0] * (a[m] - sum_{i >= 1, b[i] != 0} b[i] c[m - i]), so the
+        cost is one pass over the nonzero coefficients of b per output term.
+        """
+        b = other.coeffs
+        if b[0] not in (1, -1):
+            raise ValueError("division requires a unit constant term (+-1) in the divisor")
+        n = min(self.order, other.order)
         a = self.coeffs
-        if a[0] not in (1, -1):
-            raise ValueError("inverse requires a unit constant term (+-1)")
-        n = self.order
-        offsets = [i for i in range(1, n + 1) if a[i]]
-        inv0 = a[0]  # 1/a0 since a0 is +-1
+        offsets = [i for i in range(1, n + 1) if b[i]]
         c = [0] * (n + 1)
-        c[0] = inv0
-        for m in range(1, n + 1):
-            s = 0
+        for m in range(n + 1):
+            s = a[m]
             for i in offsets:
                 if i > m:
                     break
-                ci = c[m - i]
-                if ci:
-                    s += a[i] * ci
-            c[m] = -inv0 * s
+                s -= b[i] * c[m - i]
+            c[m] = b[0] * s
         return PowerSeries(c)
-
-
-def _convolve_truncated(a, b, n):
-    """Truncated product of coefficient tuples via big-integer packing.
-
-    Each polynomial is packed into one Python int with fixed-width limbs so
-    the convolution runs through CPython's subquadratic integer multiply.
-    Negative coefficients are handled by splitting the sparser factor into
-    its positive and negative parts.
-    """
-    nnz_a = sum(1 for x in a if x)
-    nnz_b = sum(1 for x in b if x)
-    if nnz_a == 0 or nnz_b == 0:
-        return [0] * (n + 1)
-    if nnz_b < nnz_a:
-        a, b = b, a
-    if any(x < 0 for x in b):
-        bp = [x if x > 0 else 0 for x in b]
-        bm = [-x if x < 0 else 0 for x in b]
-        pos = _convolve_truncated(a, bp, n)
-        neg = _convolve_truncated(a, bm, n)
-        return [p - q for p, q in zip(pos, neg)]
-    if any(x < 0 for x in a):
-        ap = [x if x > 0 else 0 for x in a]
-        am = [-x if x < 0 else 0 for x in a]
-        pos = _convolve_truncated(ap, b, n)
-        neg = _convolve_truncated(am, b, n)
-        return [p - q for p, q in zip(pos, neg)]
-    # Limb width: every convolution coefficient is < min(sum(a)*max(b), sum(b)*max(a)).
-    bound = min(sum(a) * max(b), sum(b) * max(a)) + 1
-    width = bound.bit_length() // 8 + 2
-    packed_a = int.from_bytes(b"".join(x.to_bytes(width, "little") for x in a), "little")
-    packed_b = int.from_bytes(b"".join(x.to_bytes(width, "little") for x in b), "little")
-    raw = (packed_a * packed_b).to_bytes(width * (len(a) + len(b)), "little")
-    return [
-        int.from_bytes(raw[i * width : (i + 1) * width], "little") for i in range(n + 1)
-    ]
 
 
 @lru_cache(maxsize=8)
@@ -137,7 +100,7 @@ def partition_series(n_max: int) -> PowerSeries:
     """1/(q)_inf; the coefficient of q^n is the partition number p(n)."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    return euler_product(n_max).inverse()
+    return PowerSeries.one(n_max) / euler_product(n_max)
 
 
 def partition_number(n: int) -> int:
@@ -318,9 +281,11 @@ def moment_table(T: int, r: int, n_max: int) -> MomentTable:
     """m_T^r(n) for n <= n_max without materializing the full rank table.
 
     The per-m series are accumulated into one weighted theta-side polynomial
-    which is multiplied by 1/(q)_inf once, so the cost is O(n_max^2)
-    coefficient operations for fixed r.  Odd moments vanish by the m -> -m
-    symmetry of N_T and are returned as an all-zero table.
+    which is divided by (q)_inf once.  The cost is O(n_max^2) for the cached
+    `euler_product` plus O(n_max^1.5) coefficient operations for the
+    division, since (q)_inf has O(sqrt(n_max)) nonzero coefficients.  Odd
+    moments vanish by the m -> -m symmetry of N_T and are returned as an
+    all-zero table.
     """
     _require_odd_positive(T)
     if r < 0:
@@ -334,7 +299,7 @@ def moment_table(T: int, r: int, n_max: int) -> MomentTable:
         w = m**r * (2 if m > 0 else 1)
         for e, sign in _theta_terms(T, m, n_max):
             weighted[e] += sign * w
-    series = PowerSeries(weighted) * partition_series(n_max)
+    series = PowerSeries(weighted) / euler_product(n_max)
     return MomentTable(T=T, r=r, values=series.coeffs)
 
 

@@ -265,9 +265,7 @@ def bessel_i(order, x):
     accuracy 1e-10 for |order| <= 31/2 and x in [1e-3, 200], away from the
     zeros of the negative-order functions, and 1e-15 on (200, 700].  Each
     row (last axis) of an array x is bit-identical to `bessel_i` on that
-    row alone.  A scalar x is not a one-element row below x = |order| <=
-    5/2: there the power series' leading power is numpy's scalar pow, not
-    its array pow, and the two can differ in the last bit.  A value past
+    row alone, and a scalar x runs as a one-element row.  A value past
     double range (x above about 710) raises `ValueError` rather than
     returning inf or nan.
     """
@@ -275,7 +273,7 @@ def bessel_i(order, x):
     if abs(two_nu) > 51:
         raise ValueError(f"order {two_nu}/2 outside supported band")
     scalar = np.isscalar(x) or getattr(x, "ndim", 0) == 0
-    xs = np.asarray(x, dtype=float)
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(xs <= 0):
         raise ValueError("x must be positive")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -294,7 +292,7 @@ def bessel_i(order, x):
             out = _bessel_negative((-two_nu - 1) // 2, xs)
     if not np.isfinite(out).all():
         raise ValueError(f"I_({two_nu}/2)(x) overflows double range")
-    return float(out) if scalar else out
+    return float(out[0]) if scalar else out
 
 
 # ---------------------------------------------------------------------------

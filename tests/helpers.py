@@ -49,6 +49,13 @@ def spt_direct(n: int) -> int:
     return total
 
 
+def schoolbook_product(a, b) -> list[int]:
+    """The coefficients of a * b up to the lower of the two orders, by the
+    double sum over every pair of terms."""
+    n = min(len(a), len(b))
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(n)]
+
+
 @functools.cache
 def spt_oracle_upto(n_max: int) -> tuple[int, ...]:
     """(spt_oracle(1), ..., spt_oracle(n_max)), enumerated once per process

@@ -315,9 +315,12 @@ class TestCuspExpansion:
     def test_cusp_bytes(self):
         # SHA-256 of repr of (main_mu, main_mordell, exact) per report, or
         # moment_cusp_mu where the exact series does not converge at
-        # n_max = 300, and of every (t, l) summand moment_cusp_mordell;
-        # recorded before the cusp path took its units from
-        # `partial_phases`, and it must stay bit-identical
+        # n_max = 300, and of every (t, l) summand moment_cusp_mordell.
+        # Re-recorded (was 015131481b75...) when moment_cusp_mu took
+        # e((h - [-h]_k)/(24k)) into its one exact angle for `phase` in
+        # place of a second cmath.exp: over T in {1, 5, 7, 13}, coprime
+        # (h, k) with k < 40, three z and r in {2, 4}, the worst relative
+        # change of moment_cusp_mu was 1.0e-15
         values = []
         for T in (1, 5, 7, 13):
             for h, k in ((0, 1), (1, 2), (1, 3), (2, 5)):
@@ -334,7 +337,7 @@ class TestCuspExpansion:
                                 for l in range(k // gcd(T, k)):
                                     values.append(moment_cusp_mordell(T, r, t, l, h, k, z))
         digest = hashlib.sha256(repr(values).encode()).hexdigest()
-        assert digest == "015131481b750b893b85fb5be33f05167adfd4fc0ebc9e3cc88946a8460907e7"
+        assert digest == "07189b45351613ecf8228770f3bf56997604729b8c382a3060cb1a5fd3f60353"
 
 
 class TestGarvanScan:

@@ -16,31 +16,40 @@ from trank.qseries import (
     spt_series,
 )
 
-from helpers import partition_count, rank_counts, spt_direct, spt_oracle_upto
+from helpers import (
+    partition_count,
+    rank_counts,
+    schoolbook_product,
+    spt_direct,
+    spt_oracle_upto,
+)
 
 
 class TestPowerSeries:
     def test_product_exactness(self):
         # (1/(q)_inf) * (q)_inf = 1 + O(q^(n+1))
         n = 120
-        prod = partition_series(n) * euler_product(n)
-        assert prod == PowerSeries.one(n)
+        prod = schoolbook_product(partition_series(n).coeffs, euler_product(n).coeffs)
+        assert PowerSeries(prod) == PowerSeries.one(n)
 
-    def test_mixed_sign_convolution_matches_schoolbook(self):
+    def test_mixed_sign_division_times_divisor_is_dividend(self):
         rng = random.Random(11)
-        for _ in range(20):
-            n = rng.randrange(1, 30)
+        for _ in range(40):
+            n = rng.randrange(0, 30)
             a = [rng.randrange(-50, 50) for _ in range(n + 1)]
-            b = [rng.randrange(-50, 50) for _ in range(n + 1)]
-            expect = [
-                sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(n + 1)
-            ]
-            got = PowerSeries(a) * PowerSeries(b)
-            assert list(got.coeffs) == expect
+            b = [rng.choice((1, -1))] + [rng.randrange(-50, 50) for _ in range(n)]
+            quotient = PowerSeries(a) / PowerSeries(b)
+            assert quotient.order == n
+            assert schoolbook_product(quotient.coeffs, b) == a
 
-    def test_inverse_requires_unit(self):
+    def test_division_truncates_at_the_lower_order(self):
+        a = PowerSeries([3, -1, 4, 1, -5])
+        b = PowerSeries([-1, 2, 7])
+        assert (a / b).coeffs == (PowerSeries(a.coeffs[:3]) / b).coeffs
+
+    def test_division_requires_unit_divisor(self):
         with pytest.raises(ValueError):
-            PowerSeries([2, 1, 1]).inverse()
+            PowerSeries([1, 2]) / PowerSeries([2, 1])
 
 
 class TestPartitionSeries:

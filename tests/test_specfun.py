@@ -107,8 +107,9 @@ class TestBesselI:
     @pytest.mark.parametrize("order", BESSEL_ORDERS)
     def test_rows_equal_their_own_calls(self, order):
         # a 2-D argument whose rows have different maxima: every row is bit
-        # for bit its own 1-D call, on the closed/series path (|order| <=
-        # 5/2, the series below x = |order|) and on the Miller path alike
+        # for bit its own 1-D call, and a scalar call its one-element row,
+        # on the closed/series path (|order| <= 5/2, the series below
+        # x = |order|) and on the Miller path alike
         rng = np.random.default_rng(abs(order.numerator))
         xs = np.array([np.sort(rng.uniform(0.01, top, 24))
                        for top in (0.4, 2.2, 7.0, 40.0, 180.0, 650.0)])
@@ -116,6 +117,8 @@ class TestBesselI:
         assert rows.shape == xs.shape
         for x, row in zip(xs, rows):
             assert np.array_equal(row, bessel_i(order, x))
+        for v in xs[:2].ravel().tolist():  # below 5/2, where the series runs
+            assert bessel_i(order, v) == bessel_i(order, np.array([v]))[0]
 
     @pytest.mark.parametrize("order", BESSEL_ORDERS)
     def test_large_argument_against_mpmath(self, order):
