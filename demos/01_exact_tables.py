@@ -5,7 +5,8 @@ Dyson rank (T = 3).  Everything below is exact integer arithmetic; the
 only floating point is in the printing.
 """
 
-from trank import moment_table, partition_number, rank_count_table, spt_oracle
+from trank import moment_table, partition_number, rank_count_table
+from trank.qseries import spt_series
 
 # --- rank counts of small n --------------------------------------------------
 # N_3(m, n) counts partitions of n with rank m.  Row sums recover p(n).
@@ -28,11 +29,12 @@ print("\ncrank counts at n = 1 (note the signed entry):",
 # smallest parts, summed over all partitions.
 m1 = moment_table(1, 2, 40)
 m3 = moment_table(3, 2, 40)
+spt = spt_series(40)
 print("\n n  spt(n)  (m_1^2 - m_3^2)/2")
 for n in (5, 10, 20, 40):
     half_diff = (m1[n] - m3[n]) // 2
-    assert half_diff == spt_oracle(n)
-    print(f"{n:3d}  {spt_oracle(n):6d}  {half_diff:6d}")
+    assert half_diff == spt[n]
+    print(f"{n:3d}  {spt[n]:6d}  {half_diff:6d}")
 
 # Higher T moments grow at the same exponential rate but with smaller
 # constants; odd moments vanish by symmetry.

@@ -3,7 +3,7 @@
 The package has five layers:
 
 * `trank.qseries` — exact big-integer q-series: p(n), N_T(m, n), moments,
-  and the brute-force spt oracle.
+  and spt(n).
 * `trank.units` — exact roots of unity: the eta multiplier,
   the unit factors of the transformation laws, Kloosterman sums.
 * `trank.specfun` — half-integer modified Bessel functions, Bernoulli
@@ -35,8 +35,6 @@ from .mockforms import (
     VERIFICATION_CASES,
     VerificationReport,
     c_kernel,
-    m_kernel,
-    taylor_moments,
     verify_transformation,
 )
 from .qseries import (
@@ -48,7 +46,6 @@ from .qseries import (
     partition_number,
     partition_series,
     rank_count_table,
-    spt_oracle,
 )
 from .specfun import (
     IntegralParams,
@@ -59,7 +56,6 @@ from .specfun import (
     kappa_h,
     mordell_h,
     script_h,
-    taylor_identity_check,
 )
 from .units import (
     KloostermanValue,
@@ -98,7 +94,6 @@ __all__ = [
     "kappa_h",
     "kloosterman_partial",
     "kloosterman_sum",
-    "m_kernel",
     "moment_generating_eval",
     "moment_table",
     "mordell_h",
@@ -109,9 +104,6 @@ __all__ = [
     "rank_count_table",
     "rho_residue",
     "script_h",
-    "spt_oracle",
-    "taylor_identity_check",
-    "taylor_moments",
     "theorem_a_main",
     "theorem_b_difference_leading",
     "theorem_b_leading",

@@ -16,8 +16,8 @@ the index a (the index that also carries pi^(-a) and z^(-a)), so the
 Mordell-part prefactor carries k^(a-1/2) T^(a-1/2), and the polynomial
 factor inside the integrals is x^c rather than (x + i varrho)^c.  Both
 are confirmed by direct Taylor-coefficient extraction (see
-`specfun.taylor_identity_check` and the transformation-law suite) and by
-the cusp-expansion comparison against the exact engine below.
+`taylor_identity_check` in `tests/helpers.py` and the transformation-law
+suite) and by the cusp-expansion comparison against the exact engine below.
 """
 
 from __future__ import annotations

@@ -280,8 +280,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Parse and dispatch one command; returns the process exit code.
 
-    Invalid input, whether the parser or the library rejects it, ends with
-    exit status 2 and one `error:` line on stderr.
+    Invalid input, whether the parser or the library rejects it, and an
+    output path that cannot be written end with exit status 2 and one
+    `error:` line on stderr.
     """
     try:
         args = _build_parser().parse_args(argv)
@@ -291,7 +292,7 @@ def main(argv=None) -> int:
         if hasattr(args, "n"):
             args.n = parse_n_values(args.n)
         return _DISPATCH[args.command](args)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -24,7 +24,7 @@ from math import gcd
 from typing import Callable
 
 from .errors import ConvergenceError
-from .specfun import _cauchy_taylor, mordell_h
+from .specfun import mordell_h
 from .units import (
     alpha_shift,
     chi_multiplier,
@@ -265,63 +265,6 @@ def c_kernel(T: int, t: int, point: EvaluationPoint) -> complex:
             f"{a_form} vs {quotient_form}"
         )
     return a_form
-
-
-def m_kernel(T: int, u: complex, tau: complex, method: str = "direct") -> complex:
-    """The two-variable moment generating kernel.
-
-    method="direct" sums (1 - e^(2 pi i u))/(q)_inf *
-    sum_n (-1)^n q^(n(Tn+1)/2) / (1 - e^(2 pi i u) q^n); "appell" routes
-    through the level-T Appell-Lerch sum; "kernels" sums the t-kernels.
-    All three agree wherever they converge.
-    """
-    if T < 1 or T % 2 == 0:
-        raise ValueError("T must be odd and positive")
-    tau = _require_upper(tau)
-    u = complex(u)
-    if method == "appell":
-        q24 = cmath.exp(1j * math.pi * tau / 12.0)
-        return ((1.0 - cmath.exp(2j * math.pi * u)) * q24
-                * cmath.exp(-1j * math.pi * u * T)
-                * zwegers_a_t_tau(T, u, -(T - 1) / 2.0 * tau, tau)
-                / eta_tau(tau))
-    if method == "kernels":
-        half = (T - 1) // 2
-        point = EvaluationPoint(u=u, z=tau / 1j)
-        return sum(c_kernel(T, t, point) for t in range(-half, half + 1))
-    if method != "direct":
-        raise ValueError(f"unknown method {method!r}")
-    _check_off_lattice(u, tau, _LATTICE_MARGIN, "u")
-    q = cmath.exp(2j * math.pi * tau)
-    eu = cmath.exp(2j * math.pi * u)
-    span = abs(u.imag) / tau.imag
-    lo, hi = _gaussian_window(T * tau.imag)
-    lo, hi = lo - int(span / T) - 1, hi + int(span / T) + 1
-    acc = 0j
-    for n in range(lo, hi + 1):
-        acc += ((-1) ** n * cmath.exp(1j * math.pi * n * (T * n + 1) * tau)
-                / (1.0 - eu * q**n))
-    return (1.0 - eu) * acc / _euler(q)
-
-
-def taylor_moments(T: int, r_max: int, point: EvaluationPoint,
-                   radius: float) -> list[complex]:
-    """Coefficients of (2 pi i u)^r / r! of the moment kernel at u = 0.
-
-    Cauchy-integral extraction on the circle |u| = radius with sample
-    doubling; for r >= 1 the r-th coefficient is the r-th moment
-    generating function at q = e^(2 pi i tau) and is cross-checkable
-    against the exact engine.
-    """
-    if r_max < 0 or r_max > 12:
-        raise ValueError("r_max must be between 0 and 12")
-    tau = point.tau
-    if radius <= 0 or radius > 0.45:
-        raise ValueError("radius must lie in (0, 0.45]")
-    coeffs = _cauchy_taylor(
-        lambda pts: [m_kernel(T, complex(u), tau) for u in pts],
-        radius, r_max, samples=128, tol=1e-9)
-    return [c * math.factorial(r) / (2j * math.pi) ** r for r, c in enumerate(coeffs)]
 
 
 # ---------------------------------------------------------------------------

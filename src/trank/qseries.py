@@ -8,9 +8,8 @@ defined for odd T by
                           q^(j(Tj-1)/2 + |m| j) (1 - q^j),
 
 their power moments m_T^r(n) = sum_m m^r N_T(m, n), and the
-smallest-parts function spt(n): from Andrews' generating function, and
-by brute force as an independent oracle.  T = 1 gives the crank counts,
-T = 3 the rank counts.
+smallest-parts function spt(n) from Andrews' generating function.  T = 1
+gives the crank counts, T = 3 the rank counts.
 
 `PowerSeries` has one arithmetic operation, truncated division by a series
 with constant term +-1.  Both p(n) (1 / (q)_inf) and the moment tables
@@ -25,8 +24,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import TruncationError
-
-SPT_ENUMERATION_LIMIT = 75
 
 
 def _require_odd_positive(T: int) -> None:
@@ -54,9 +51,6 @@ class PowerSeries:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PowerSeries) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __getitem__(self, n: int) -> int:
         return self.coeffs[n]
@@ -133,55 +127,6 @@ def spt_series(n_max: int) -> PowerSeries:
         for i in range(n, n_max + 1):
             tail[i] += tail[i - n]
     return PowerSeries(acc)
-
-
-def spt_oracle(n: int) -> int:
-    """spt(n) by brute force: total smallest-part multiplicity over all
-    partitions of n.
-
-    Partitions are enumerated as ascending compositions in lexicographic
-    order with an explicit stack array; nothing is shared with the series
-    engine, so this is an independent oracle.  Guarded at n <= 75 (about
-    7 s on one core) because the enumeration visits every partition.
-    """
-    if n < 1:
-        raise ValueError("spt(n) requires n >= 1")
-    if n > SPT_ENUMERATION_LIMIT:
-        raise ValueError(f"spt enumeration is limited to n <= {SPT_ENUMERATION_LIMIT}")
-    # Kelleher-style ascending-partition loop; a[0..k] is the current prefix.
-    a = [0] * (n + 1)
-    total = 0
-    k = 1
-    a[0] = 0
-    y = n - 1
-    while k != 0:
-        x = a[k - 1] + 1
-        k -= 1
-        while 2 * x <= y:
-            a[k] = x
-            y -= x
-            k += 1
-        el = k + 1
-        while x <= y:
-            a[k] = x
-            a[el] = y
-            # partition = a[0..k+1], ascending; smallest-part run is a prefix
-            smallest = a[0]
-            m = 1
-            while m <= el and a[m] == smallest:
-                m += 1
-            total += m
-            x += 1
-            y -= 1
-        a[k] = x + y
-        y = x + y - 1
-        # partition = a[0..k]
-        smallest = a[0]
-        m = 1
-        while m <= k and a[m] == smallest:
-            m += 1
-        total += m
-    return total
 
 
 def _theta_terms(T: int, m: int, n_max: int):

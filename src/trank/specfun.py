@@ -607,80 +607,3 @@ def bessel_integrals(groups, tol: float = 1e-9) -> list[list[complex]]:
         panels *= 2
     values = iter(out.tolist())
     return [[next(values) for _ in alphas] for _, alphas in groups]
-
-
-def taylor_identity_check(family: str, nu: complex, z: complex, lam: complex,
-                          r_max: int) -> float:
-    """Numerically confirm that kappa/kappa_h are the Taylor coefficients of
-    their generating functions.
-
-    The left side's u-Taylor coefficients are extracted by a Cauchy integral
-    on a small circle (uniform samples, discrete Fourier inversion) and
-    compared with the assembled coefficient sums; returns the max relative
-    error over r <= r_max.
-
-    In the kappa_h family the Gaussian parameter nu pairs with the index a
-    (the same index that carries pi^(-a) and part of the z-power), as a
-    direct expansion of sin exp exp shows; pairing it with b reproduces the
-    coefficients only through r = 2 and fails from r = 3 on.
-    """
-    if family == "kappa":
-        def f(u):
-            ratio = np.where(u == 0, complex(z), np.sin(np.pi * u) / np.sinh(np.pi * u / z))
-            return np.exp(np.pi * nu * u * u / z) * ratio
-
-        def model(r):
-            return sum(
-                kappa(a, b, c).to_float() * nu**a * z ** (1 - a - 2 * c)
-                for (a, b, c) in kappa_support(r)
-            )
-
-        radius = min(0.45, 0.5 * abs(z))
-    elif family == "kappa_h":
-        def f(u):
-            return np.sin(np.pi * u) * np.exp(np.pi * nu * u * u / z) * np.exp(
-                -2j * np.pi * lam * u / z
-            )
-
-        def model(r):
-            return 1j * sum(
-                kappa_h(a, b, c).to_float() * z ** (-a - c) * nu**a * lam**c
-                for (a, b, c) in kappa_h_support(r)
-            )
-
-        radius = 0.75
-    else:
-        raise ValueError(f"unknown family {family!r}")
-
-    coeffs = _cauchy_taylor(f, radius, r_max)
-    lhs = [coeffs[r] * factorial(r) / (2j * math.pi) ** r for r in range(r_max + 1)]
-    rhs = [model(r) for r in range(r_max + 1)]
-    scale = max(abs(v) for v in rhs)
-    worst = 0.0
-    for lv, rv in zip(lhs, rhs):
-        # structurally-zero coefficients are held to an absolute floor
-        worst = max(worst, abs(lv - rv) / (abs(rv) if rv else 1e-3 * scale))
-    return worst
-
-
-def _cauchy_taylor(f, radius: float, r_max: int, samples: int = 256,
-                   tol: float = 1e-11) -> list[complex]:
-    """Taylor coefficients of f at 0 through a sampled circle integral,
-    with sample doubling until two passes agree to `tol` relative."""
-    prev = None
-    n = max(samples, 8 * (r_max + 1))
-    for _ in range(4):
-        js = np.arange(n)
-        pts = radius * np.exp(2j * np.pi * js / n)
-        vals = f(pts)
-        coeffs = [
-            complex(np.sum(vals * np.exp(-2j * np.pi * js * r / n)) / (n * radius**r))
-            for r in range(r_max + 1)
-        ]
-        if prev is not None:
-            scale = max(max(abs(c) for c in coeffs), 1e-300)
-            if all(abs(a - b) <= tol * scale for a, b in zip(coeffs, prev)):
-                return coeffs
-        prev = coeffs
-        n *= 2
-    raise ConvergenceError("Cauchy coefficient extraction did not stabilize")

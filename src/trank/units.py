@@ -142,10 +142,6 @@ class KloostermanValue:
     value: complex
     terms: int
 
-    @property
-    def is_empty(self) -> bool:
-        return self.terms == 0
-
 
 def kloosterman_sum(k: int, n: int) -> KloostermanValue:
     """K_k(n), summed in ascending h: Rademacher's

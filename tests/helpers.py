@@ -1,7 +1,10 @@
-"""Small brute-force oracles shared across test modules.
+"""Oracles shared across test modules.
 
-Everything here is deliberately naive: direct partition enumeration and
-literal formula evaluation, independent of the package's series engine.
+Everything here is deliberately naive and independent of the package's
+series engine: direct partition enumeration (`spt_oracle`), literal
+formula evaluation, and the two-variable moment kernel with Taylor
+coefficients by a Cauchy integral (`moment_kernel`, `taylor_moments`,
+`taylor_identity_check`), which the package itself does not need.
 """
 
 from __future__ import annotations
@@ -12,20 +15,35 @@ import math
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
+
 from trank.errors import ConvergenceError
-from trank.qseries import spt_oracle
+from trank.mockforms import eta_tau, zwegers_a_t_tau
+from trank.specfun import kappa, kappa_h, kappa_h_support, kappa_support
 
 
-def partitions(n: int, cap: int | None = None):
-    """Yield all partitions of n as non-increasing tuples."""
-    if n == 0:
-        yield ()
-        return
-    if cap is None or cap > n:
-        cap = n
-    for first in range(cap, 0, -1):
-        for rest in partitions(n - first, first):
-            yield (first,) + rest
+def partitions(n: int):
+    """Yield every partition of n as an ascending list, in lexicographic
+    order (Kelleher's loop; a[:k] is the stack of parts).  n = 0 gives the
+    one list [0]."""
+    a = [0] * (n + 1)
+    k, y = 1, n - 1
+    while k != 0:
+        x = a[k - 1] + 1
+        k -= 1
+        while 2 * x <= y:
+            a[k] = x
+            y -= x
+            k += 1
+        el = k + 1
+        while x <= y:
+            a[k], a[el] = x, y
+            yield a[:k + 2]
+            x += 1
+            y -= 1
+        a[k] = x + y
+        y = x + y - 1
+        yield a[:k + 1]
 
 
 def partition_count(n: int) -> int:
@@ -36,17 +54,16 @@ def rank_counts(n: int) -> dict[int, int]:
     """Dyson rank (largest part minus number of parts) counts for n >= 1."""
     counts: dict[int, int] = {}
     for p in partitions(n):
-        r = p[0] - len(p)
+        r = p[-1] - len(p)
         counts[r] = counts.get(r, 0) + 1
     return counts
 
 
-def spt_direct(n: int) -> int:
-    total = 0
-    for p in partitions(n):
-        smallest = p[-1]
-        total += p.count(smallest)
-    return total
+def spt_oracle(n: int) -> int:
+    """spt(n) for n >= 1 by brute force: the number of smallest parts,
+    summed over every partition of n.  Nothing is shared with the series
+    engine; n = 60 takes about half a second."""
+    return sum(p.count(p[0]) for p in partitions(n))
 
 
 def schoolbook_product(a, b) -> list[int]:
@@ -109,3 +126,83 @@ def theta_product_tau(v: complex, tau: complex) -> complex:
     for n in range(1, n_cut + 1):
         prod *= (1.0 - q**n) * (1.0 - w * q ** (n - 1)) * (1.0 - q**n / w)
     return -1j * cmath.exp(1j * math.pi * tau / 4.0) * cmath.exp(-1j * math.pi * v) * prod
+
+
+def moment_kernel(T: int, u: complex, tau: complex) -> complex:
+    """The moment generating kernel
+    (1 - e(u))/(q)_inf * sum_n (-1)^n q^(n(Tn+1)/2) / (1 - e(u) q^n), e(u) = e^(2 pi i u),
+    as (1 - e(u)) q^(1/24) e^(-pi i T u) A_T(u, -(T-1) tau/2; tau) / eta(tau),
+    A_T the level-T Appell-Lerch sum `mockforms.zwegers_a_t_tau`."""
+    u, tau = complex(u), complex(tau)
+    return ((1.0 - cmath.exp(2j * math.pi * u)) * cmath.exp(1j * math.pi * tau / 12.0)
+            * cmath.exp(-1j * math.pi * u * T)
+            * zwegers_a_t_tau(T, u, -(T - 1) / 2.0 * tau, tau)
+            / eta_tau(tau))
+
+
+def taylor_moments(T: int, r_max: int, tau: complex, radius: float) -> list[complex]:
+    """Coefficients of (2 pi i u)^r / r! of `moment_kernel` at u = 0, r <= r_max.
+
+    For r >= 1 the r-th coefficient is the r-th moment generating function
+    at q = e^(2 pi i tau), against which the exact engine is checked.
+    """
+    coeffs = cauchy_taylor(lambda pts: [moment_kernel(T, u, tau) for u in pts],
+                           radius, r_max, samples=128, tol=1e-9)
+    return [c * math.factorial(r) / (2j * math.pi) ** r for r, c in enumerate(coeffs)]
+
+
+def cauchy_taylor(f, radius: float, r_max: int, samples: int = 256,
+                  tol: float = 1e-11) -> list[complex]:
+    """Taylor coefficients of f at 0 through a sampled circle integral,
+    with sample doubling until two passes agree to `tol` relative."""
+    prev = None
+    n = max(samples, 8 * (r_max + 1))
+    for _ in range(4):
+        js = np.arange(n)
+        pts = radius * np.exp(2j * np.pi * js / n)
+        vals = f(pts)
+        coeffs = [
+            complex(np.sum(vals * np.exp(-2j * np.pi * js * r / n)) / (n * radius**r))
+            for r in range(r_max + 1)
+        ]
+        if prev is not None:
+            scale = max(max(abs(c) for c in coeffs), 1e-300)
+            if all(abs(a - b) <= tol * scale for a, b in zip(coeffs, prev)):
+                return coeffs
+        prev = coeffs
+        n *= 2
+    raise ConvergenceError("Cauchy coefficient extraction did not stabilize")
+
+
+def taylor_identity_check(family: str, nu: complex, z: complex, lam: complex,
+                          r_max: int) -> float:
+    """The max relative error, over r <= r_max, of the kappa ("kappa") or
+    kappa_h ("kappa_h") coefficient sums against the u-Taylor coefficients
+    of their generating function, extracted by `cauchy_taylor`.
+
+    In the kappa_h family the Gaussian parameter nu pairs with the index a
+    (the same index that carries pi^(-a) and part of the z-power), as a
+    direct expansion of sin exp exp shows; pairing it with b reproduces the
+    coefficients only through r = 2 and fails from r = 3 on.
+    """
+    if family == "kappa":
+        def f(u):
+            ratio = np.where(u == 0, complex(z), np.sin(np.pi * u) / np.sinh(np.pi * u / z))
+            return np.exp(np.pi * nu * u * u / z) * ratio
+
+        rhs = [sum(kappa(a, b, c).to_float() * nu**a * z ** (1 - a - 2 * c)
+                   for (a, b, c) in kappa_support(r)) for r in range(r_max + 1)]
+        radius = min(0.45, 0.5 * abs(z))
+    else:
+        def f(u):
+            return (np.sin(np.pi * u) * np.exp(np.pi * nu * u * u / z)
+                    * np.exp(-2j * np.pi * lam * u / z))
+
+        rhs = [1j * sum(kappa_h(a, b, c).to_float() * z ** (-a - c) * nu**a * lam**c
+                        for (a, b, c) in kappa_h_support(r)) for r in range(r_max + 1)]
+        radius = 0.75
+    coeffs = cauchy_taylor(f, radius, r_max)
+    lhs = [coeffs[r] * math.factorial(r) / (2j * math.pi) ** r for r in range(r_max + 1)]
+    scale = max(abs(v) for v in rhs)
+    # structurally-zero coefficients are held to an absolute floor
+    return max(abs(lv - rv) / (abs(rv) if rv else 1e-3 * scale) for lv, rv in zip(lhs, rhs))

@@ -34,10 +34,10 @@ from trank.qseries import (
     partition_number,
     rank_count_table,
 )
-from trank.specfun import bernoulli_half, bessel_i, kappa, taylor_identity_check
+from trank.specfun import bernoulli_half, bessel_i, kappa
 from trank.units import kloosterman_sum
 
-from helpers import rel_err, spt_oracle_upto
+from helpers import rel_err, spt_oracle_upto, taylor_identity_check
 from test_specfun import bessel_series_mp
 from unit_oracles import kloosterman_units
 

@@ -22,8 +22,10 @@ from trank.asymptotics import (
     theorem_b_leading,
 )
 from trank.errors import TruncationError
-from trank.qseries import moment_table, spt_oracle
+from trank.qseries import moment_table
 from trank.specfun import kappa_support
+
+from helpers import spt_oracle
 
 
 class TestQueryValidation:

@@ -1,9 +1,11 @@
-"""The names and result fields that the benchmark's tracer reads.
+"""The names, result fields and command lines that the benchmark uses.
 
 `perfbench/tracing.py` wraps each (module, function) of its `TARGETS` by
 name and its hooks read fields of the returned values, so deleting or
 renaming one of them breaks `perfbench/run.py --trace 1` with an
 `AttributeError`.  The tracer is read with `ast`, not imported.
+`perfbench/workloads.py` builds the `trank` argv of every request, so
+dropping an option it sends makes each such request exit 2.
 """
 
 import ast
@@ -12,10 +14,12 @@ import importlib
 from pathlib import Path
 
 from trank.asymptotics import TermBreakdown
+from trank.cli import _build_parser
 from trank.mockforms import VerificationReport
 from trank.units import KloostermanValue
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def _targets() -> tuple:
@@ -42,3 +46,16 @@ def test_result_fields_read_by_the_hooks():
     }
     for cls, names in read.items():
         assert names <= {f.name for f in dataclasses.fields(cls)}, cls.__name__
+
+
+def test_every_workload_argv_parses(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    argvs = []
+    for name, rounds in workloads.WORKLOADS.items():
+        source = rounds(1, [])
+        for _ in range(workloads.MIN_ROUNDS[name]):
+            argvs += [op.argv for op in source.round()]
+    assert len(argvs) == 39
+    for argv in argvs:
+        _build_parser().parse_args(argv)  # an unknown option exits 2

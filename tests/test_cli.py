@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 
 from trank.cli import main, parse_n_values
 from trank.mockforms import VERIFICATION_CASES
-from trank.qseries import moment_table, spt_oracle
+from trank.qseries import moment_table
+
+from helpers import spt_oracle
 
 
 class TestParsing:
@@ -163,6 +165,20 @@ class TestCompareScanSpt:
         monkeypatch.setenv("TRANK_OUT_DIR", str(tmp_path))
         assert main(["spt-check", "--n-max", "6", "--format", "json"]) == 0
         assert (tmp_path / "spt_check.json").exists()
+
+
+@pytest.mark.parametrize("argv, out_dir", [
+    ("moments --T 1 --r 2 --n-max 5 --out {tmp}/missing/x.csv", None),
+    ("moments --T 1 --r 2 --n-max 5 --out {tmp}", None),
+    ("spt-check", "{tmp}/missing"),
+], ids=["out-in-missing-dir", "out-is-a-dir", "env-dir-missing"])
+def test_unwritable_output_exits_2(argv, out_dir, tmp_path, monkeypatch, capsys):
+    # an output path that cannot be opened is invalid configuration
+    if out_dir:
+        monkeypatch.setenv("TRANK_OUT_DIR", out_dir.format(tmp=tmp_path))
+    assert main(argv.format(tmp=tmp_path).split()) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: "), err
 
 
 @pytest.mark.parametrize("argv", [

@@ -15,10 +15,8 @@ from trank.mockforms import (
     c_kernel,
     eta_tau,
     lattice_distance,
-    m_kernel,
     mu_tau,
     r_tau,
-    taylor_moments,
     theta_tau,
     verify_transformation,
     zwegers_a_t_tau,
@@ -26,7 +24,7 @@ from trank.mockforms import (
 )
 from trank.qseries import moment_generating_eval
 
-from helpers import rel_err, theta_product_tau
+from helpers import moment_kernel, rel_err, taylor_moments, theta_product_tau
 
 
 class TestEtaTheta:
@@ -138,24 +136,13 @@ class TestKernels:
             for T in (1, 3, 5):
                 assert c_kernel(T, 0, point) is not None
 
-    def test_m_kernel_methods_agree(self):
-        tau = (1 + 1j * (0.4 + 0.08j)) / 3
-        for T in (1, 3, 5, 7):
-            u = 0.09 + 0.03j
-            direct = m_kernel(T, u, tau, "direct")
-            assert rel_err(direct, m_kernel(T, u, tau, "appell")) < 1e-12
-        tau = 1j * 0.45  # the kernel-sum route needs tau = iz with |z| < 1
-        for T in (3, 5):
-            direct = m_kernel(T, 0.12, tau, "direct")
-            assert rel_err(direct, m_kernel(T, 0.12, tau, "kernels")) < 1e-10
-
     def test_kernel_sum_matches_appell_route(self):
         # M_T = sum_t C_(T,t) against the closed A_T expression
         point = EvaluationPoint(u=0.07 + 0.01j, z=0.5, h=0, k=1)
         for T in (3, 5):
             half = (T - 1) // 2
             total = sum(c_kernel(T, t, point) for t in range(-half, half + 1))
-            assert rel_err(total, m_kernel(T, point.u, point.tau, "appell")) < 1e-12
+            assert rel_err(total, moment_kernel(T, point.u, point.tau)) < 1e-12
 
     def test_evaluation_point_validation(self):
         with pytest.raises(ValueError):
@@ -166,33 +153,26 @@ class TestKernels:
 
 class TestTaylorMoments:
     def test_matches_exact_engine(self):
-        point = EvaluationPoint(u=0.0, z=0.35)
         q0 = cmath.exp(-2 * math.pi * 0.35)
-        for T in (1, 3):
-            coeffs = taylor_moments(T, 6, point, radius=0.15)
+        for T in (1, 3, 5, 7):
+            coeffs = taylor_moments(T, 6, 0.35j, radius=0.15)
             for r in (2, 4, 6):
                 exact = moment_generating_eval(T, r, q0, 400)
                 assert rel_err(coeffs[r], exact) < 1e-7, (T, r)
 
     def test_odd_coefficients_vanish(self):
-        point = EvaluationPoint(u=0.0, z=0.3)
-        coeffs = taylor_moments(5, 7, point, radius=0.13)
+        coeffs = taylor_moments(5, 7, 0.3j, radius=0.13)
         scale = max(abs(c) for c in coeffs)
         for r in (1, 3, 5, 7):
             assert abs(coeffs[r]) < 1e-9 * scale
 
     def test_complex_q_cross_check(self):
         q0 = 0.05 + 0.02j
-        z = -cmath.log(q0) / (2 * math.pi)
-        point = EvaluationPoint(u=0.0, z=z)
-        coeffs = taylor_moments(1, 4, point, radius=0.2)
+        tau = cmath.log(q0) / (2j * math.pi)
+        coeffs = taylor_moments(1, 4, tau, radius=0.2)
         for r in (2, 4):
             exact = moment_generating_eval(1, r, q0, 200)
             assert rel_err(coeffs[r], exact) < 1e-8
-
-    def test_r_max_guard(self):
-        with pytest.raises(ValueError):
-            taylor_moments(1, 13, EvaluationPoint(u=0.0, z=0.4), radius=0.1)
 
 
 class TestThetaEtaQuotient:

@@ -4,7 +4,6 @@ import pytest
 
 from trank.errors import TruncationError
 from trank.qseries import (
-    SPT_ENUMERATION_LIMIT,
     PowerSeries,
     euler_product,
     moment_generating_eval,
@@ -12,7 +11,6 @@ from trank.qseries import (
     partition_number,
     partition_series,
     rank_count_table,
-    spt_oracle,
     spt_series,
 )
 
@@ -20,7 +18,7 @@ from helpers import (
     partition_count,
     rank_counts,
     schoolbook_product,
-    spt_direct,
+    spt_oracle,
     spt_oracle_upto,
 )
 
@@ -75,18 +73,6 @@ class TestSptOracle:
         assert spt_oracle(1) == 1
         assert spt_oracle(4) == 10
         assert spt_oracle(5) == 14
-
-    def test_against_direct_enumeration(self):
-        for n in range(1, 16):
-            assert spt_oracle(n) == spt_direct(n)
-
-    def test_guards(self):
-        with pytest.raises(ValueError):
-            spt_oracle(0)
-        with pytest.raises(ValueError):
-            spt_oracle(201)
-        with pytest.raises(ValueError):
-            spt_oracle(SPT_ENUMERATION_LIMIT + 1)
 
 
 class TestSptSeries:

@@ -28,10 +28,9 @@ from trank.specfun import (
     kappa_support,
     mordell_h,
     script_h,
-    taylor_identity_check,
 )
 
-from helpers import gauss_error, rel_err
+from helpers import gauss_error, rel_err, taylor_identity_check
 
 
 def bessel_series_mp(order: Fraction, x: float, dps: int = 40) -> float:

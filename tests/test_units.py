@@ -277,7 +277,7 @@ class TestKloosterman:
     def test_partial_empty_is_zero(self):
         # gamma = 1 forces rho = 0, so rho = 1 classes are empty
         val = kloosterman_partial(5, 1, 1, 0, 2, 3)
-        assert val.value == 0 and val.is_empty
+        assert val.value == 0 and val.terms == 0
 
     def test_partial_brute_force_T5_k2(self):
         # k = 2 has the single residue h = 1; recompute every (t, rho, l)
