@@ -39,7 +39,6 @@ from .mockforms import (
 )
 from .qseries import (
     MomentTable,
-    PowerSeries,
     RankCountTable,
     moment_generating_eval,
     moment_table,
@@ -75,7 +74,6 @@ __all__ = [
     "IntegralParams",
     "KloostermanValue",
     "MomentTable",
-    "PowerSeries",
     "RankCountTable",
     "ScanReport",
     "TermBreakdown",

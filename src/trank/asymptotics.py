@@ -253,20 +253,31 @@ def theorem_a_main(query: AsymptoticQuery) -> TermBreakdown:
     return out
 
 
+def _theorem_b_value(scale: float, bernoulli: Fraction, power: float, n: int) -> float:
+    """scale B (24n)^power e^(pi sqrt(2n/3)), or `ValueError` past double range."""
+    try:
+        value = (scale * float(bernoulli) * (24.0 * n) ** power
+                 * math.exp(math.pi * math.sqrt(2.0 * n / 3.0)))
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"theorem B leading term at n={n} overflows double range")
+    return value
+
+
 def theorem_b_leading(T: int, r: int, n: int) -> float:
     """2 sqrt(3) (-1)^(r/2) B_r(1/2) (24n)^(r/2 - 1) e^(pi sqrt(2n/3))."""
     AsymptoticQuery(T=T, r=r, n=n)  # validation only; the value is T-free
     sign = (-1) ** (r // 2)
-    return (2.0 * math.sqrt(3.0) * sign * float(bernoulli_half(r))
-            * (24.0 * n) ** (r / 2.0 - 1.0) * math.exp(math.pi * math.sqrt(2.0 * n / 3.0)))
+    return _theorem_b_value(2.0 * math.sqrt(3.0) * sign, bernoulli_half(r), r / 2.0 - 1.0, n)
 
 
 def theorem_b_difference_leading(T: int, r: int, n: int) -> float:
     """Leading term of m_(T-2)^r(n) - m_T^r(n); positive for all even r."""
     AsymptoticQuery(T=T, r=r, n=n)
     sign = (-1) ** (r // 2 + 1)
-    return (math.sqrt(3.0) * r * (r - 1) * sign * float(bernoulli_half(r - 2))
-            * (24.0 * n) ** (r / 2.0 - 1.5) * math.exp(math.pi * math.sqrt(2.0 * n / 3.0)))
+    return _theorem_b_value(math.sqrt(3.0) * r * (r - 1) * sign, bernoulli_half(r - 2),
+                            r / 2.0 - 1.5, n)
 
 
 # ---------------------------------------------------------------------------

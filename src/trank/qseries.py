@@ -1,8 +1,8 @@
 """Exact integer q-series engine for partition statistics.
 
-Everything in this module is exact: truncated power series with unbounded
-integer coefficients, partition numbers p(n), the T-rank counts N_T(m, n)
-defined for odd T by
+Everything in this module is exact: truncated power series, held as
+tuples of unbounded integer coefficients, partition numbers p(n), the
+T-rank counts N_T(m, n) defined for odd T by
 
     sum_n N_T(m, n) q^n = (1/(q)_inf) * sum_{j>=1} (-1)^(j-1)
                           q^(j(Tj-1)/2 + |m| j) (1 - q^j),
@@ -11,9 +11,9 @@ their power moments m_T^r(n) = sum_m m^r N_T(m, n), and the
 smallest-parts function spt(n) from Andrews' generating function.  T = 1
 gives the crank counts, T = 3 the rank counts.
 
-`PowerSeries` has one arithmetic operation, truncated division by a series
-with constant term +-1.  Both p(n) (1 / (q)_inf) and the moment tables
-(the weighted theta side over (q)_inf) divide by the one cached
+The one series operation is `divide`, truncated division by a series with
+constant term +-1.  Both p(n) (1 / (q)_inf) and the moment tables (the
+weighted theta side over (q)_inf) divide by the one cached
 `euler_product`.  Floating point appears only in `moment_generating_eval`,
 which sums a finished exact table at a numeric point.
 """
@@ -31,77 +31,52 @@ def _require_odd_positive(T: int) -> None:
         raise ValueError(f"T must be an odd positive integer, got {T}")
 
 
-class PowerSeries:
-    """A power series truncated at q^order with exact integer coefficients."""
+def divide(a, b) -> tuple:
+    """The quotient a / b of two truncated power series, given as their
+    integer coefficients, truncated at the lower order; b[0] must be +-1.
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        self.coeffs = tuple(coeffs)
-        if not self.coeffs:
-            raise ValueError("a PowerSeries needs at least the constant term")
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    @classmethod
-    def one(cls, order: int) -> "PowerSeries":
-        return cls([1] + [0] * order)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PowerSeries) and self.coeffs == other.coeffs
-
-    def __getitem__(self, n: int) -> int:
-        return self.coeffs[n]
-
-    def __truediv__(self, other: "PowerSeries") -> "PowerSeries":
-        """The quotient a / b, truncated at the lower order; b[0] must be +-1.
-
-        c[m] = b[0] * (a[m] - sum_{i >= 1, b[i] != 0} b[i] c[m - i]), so the
-        cost is one pass over the nonzero coefficients of b per output term.
-        """
-        b = other.coeffs
-        if b[0] not in (1, -1):
-            raise ValueError("division requires a unit constant term (+-1) in the divisor")
-        n = min(self.order, other.order)
-        a = self.coeffs
-        offsets = [i for i in range(1, n + 1) if b[i]]
-        c = [0] * (n + 1)
-        for m in range(n + 1):
-            s = a[m]
-            for i in offsets:
-                if i > m:
-                    break
-                s -= b[i] * c[m - i]
-            c[m] = b[0] * s
-        return PowerSeries(c)
+    c[m] = b[0] * (a[m] - sum_{i >= 1, b[i] != 0} b[i] c[m - i]), so the
+    cost is one pass over the nonzero coefficients of b per output term.
+    """
+    if b[0] not in (1, -1):
+        raise ValueError("division requires a unit constant term (+-1) in the divisor")
+    n = min(len(a), len(b)) - 1
+    offsets = [i for i in range(1, n + 1) if b[i]]
+    c = [0] * (n + 1)
+    for m in range(n + 1):
+        s = a[m]
+        for i in offsets:
+            if i > m:
+                break
+            s -= b[i] * c[m - i]
+        c[m] = b[0] * s
+    return tuple(c)
 
 
 @lru_cache(maxsize=8)
-def euler_product(n_max: int) -> PowerSeries:
+def euler_product(n_max: int) -> tuple:
     """(q)_inf = prod_{k>=1} (1 - q^k), truncated at q^n_max."""
     c = [0] * (n_max + 1)
     c[0] = 1
     for k in range(1, n_max + 1):
         for i in range(n_max, k - 1, -1):
             c[i] -= c[i - k]
-    return PowerSeries(c)
+    return tuple(c)
 
 
 @lru_cache(maxsize=8)
-def partition_series(n_max: int) -> PowerSeries:
+def partition_series(n_max: int) -> tuple:
     """1/(q)_inf; the coefficient of q^n is the partition number p(n)."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    return PowerSeries.one(n_max) / euler_product(n_max)
+    return divide((1,) + (0,) * n_max, euler_product(n_max))
 
 
 def partition_number(n: int) -> int:
     return partition_series(n)[n]
 
 
-def spt_series(n_max: int) -> PowerSeries:
+def spt_series(n_max: int) -> tuple:
     """sum_n spt(n) q^n, truncated at q^n_max, from Andrews' generating function
 
         sum_{n>=1} q^n / (1 - q^n)^2 prod_{m>n} 1 / (1 - q^m)
@@ -126,7 +101,7 @@ def spt_series(n_max: int) -> PowerSeries:
             acc[i] += v
         for i in range(n, n_max + 1):
             tail[i] += tail[i - n]
-    return PowerSeries(acc)
+    return tuple(acc)
 
 
 def _theta_terms(T: int, m: int, n_max: int):
@@ -187,7 +162,7 @@ def rank_count_table(T: int, n_max: int) -> RankCountTable:
     _require_odd_positive(T)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    p = partition_series(n_max).coeffs
+    p = partition_series(n_max)
     entries: dict[tuple[int, int], int] = {}
     for m in range(0, n_max - (T - 1) // 2 + 1):
         row = [0] * (n_max + 1)
@@ -244,8 +219,7 @@ def moment_table(T: int, r: int, n_max: int) -> MomentTable:
         w = m**r * (2 if m > 0 else 1)
         for e, sign in _theta_terms(T, m, n_max):
             weighted[e] += sign * w
-    series = PowerSeries(weighted) / euler_product(n_max)
-    return MomentTable(T=T, r=r, values=series.coeffs)
+    return MomentTable(T=T, r=r, values=divide(weighted, euler_product(n_max)))
 
 
 def moment_generating_eval(

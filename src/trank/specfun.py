@@ -6,9 +6,10 @@ Three groups live here:
   two expansion-coefficient families kappa(a, b, c), kappaH(a, b, c) whose
   rational parts and powers of pi are kept separate until the final float
   assembly;
-* modified Bessel functions of half-integer order on the positive axis
-  (closed forms, a Miller-style downward recurrence, and an independent
-  power-series oracle);
+* modified Bessel functions of half-integer order -3/2 ... 51/2 on the
+  positive axis, the orders the main term uses (closed forms, a
+  Miller-style downward recurrence, and an independent power-series
+  oracle);
 * quadratures: the Mordell integral H, the cosh-Gaussian line integral
   script_h over the real axis, and the Bessel-weighted integral over
   [-1, 1] that multiplies the partial Kloosterman sums.
@@ -166,11 +167,7 @@ def _bessel_closed(two_nu: int, x):
         return pre * (ch - sh / x)
     if two_nu == -3:
         return pre * (sh - ch / x)
-    if two_nu == 5:
-        return pre * ((3.0 / (x * x) + 1.0) * sh - 3.0 * ch / x)
-    if two_nu == -5:
-        return pre * ((3.0 / (x * x) + 1.0) * ch - 3.0 * sh / x)
-    raise ValueError(f"no closed form wired for order {two_nu}/2")
+    return pre * ((3.0 / (x * x) + 1.0) * sh - 3.0 * ch / x)  # two_nu == 5
 
 
 def _bessel_miller(n: int, x, tops):
@@ -208,26 +205,17 @@ def _bessel_miller(n: int, x, tops):
     return out
 
 
-def _bessel_k_half(n: int, x):
-    """K_{n+1/2}(x) from its terminating sum; every term is positive."""
-    acc = np.zeros_like(x)
-    for j in range(n, -1, -1):
-        coef = factorial(n + j) // (factorial(j) * factorial(n - j))
-        acc = acc / (2.0 * x) + coef
-    return np.sqrt(np.pi / (2.0 * x)) * np.exp(-x) * acc
-
-
 def _bessel_positive(n: int, x):
     """I_{n+1/2}(x) by Miller's recurrence with start-depth doubling.
 
     The start order must clear both the target order and x itself: the
     wanted (minimal) solution only starts dominating the recurrence once
-    the order exceeds the argument.  Each row (last axis) of x (a 1-D or
-    scalar x is one row) starts at depth 24 + int(1.2 max(row)) and passes
-    its own doubling test, so each row of the result is bit-identical to a
-    call on that row alone.
+    the order exceeds the argument.  Each row (last axis) of x (a 1-D x is
+    one row) starts at depth 24 + int(1.2 max(row)) and passes its own
+    doubling test, so each row of the result is bit-identical to a call on
+    that row alone.
     """
-    rows = x.reshape(-1, x.shape[-1]) if x.ndim else x.reshape(1, 1)
+    rows = x.reshape(-1, x.shape[-1])
     depth = n + 24 + (1.2 * rows.max(axis=1)).astype(int)
     out = np.empty_like(rows)
     pending = np.arange(len(rows))
@@ -246,38 +234,30 @@ def _bessel_positive(n: int, x):
     raise ConvergenceError("Miller recurrence failed to stabilize")
 
 
-def _bessel_negative(n: int, x):
-    """I_{-(n+1/2)}(x) via the K-connection
-    I_{-nu} = I_nu + (2/pi) sin(pi nu) K_nu, which for half-integer order
-    is an exact two-term split with no cancellation away from the zeros of
-    the left side (a raw order-decreasing recurrence loses several digits
-    in the band |order| ~ x)."""
-    return _bessel_positive(n, x) + (2.0 / np.pi) * (-1) ** n * _bessel_k_half(n, x)
-
-
 def bessel_i(order, x):
-    """I_order(x) for half-integer order and x > 0.
+    """I_order(x) for half-integer -3/2 <= order <= 51/2 and x > 0.
 
-    Closed sinh/cosh forms cover |order| <= 5/2 (switching to the power
+    Closed sinh/cosh forms cover order <= 5/2 (switching to the power
     series below x = |order| where the closed forms lose digits to
-    cancellation); larger positive orders use a normalized downward Miller
-    recurrence, larger negative orders the K-connection split.  Relative
-    accuracy 1e-10 for |order| <= 31/2 and x in [1e-3, 200], away from the
-    zeros of the negative-order functions, and 1e-15 on (200, 700].  Each
-    row (last axis) of an array x is bit-identical to `bessel_i` on that
-    row alone, and a scalar x runs as a one-element row.  A value past
-    double range (x above about 710) raises `ValueError` rather than
-    returning inf or nan.
+    cancellation); larger orders use a normalized downward Miller
+    recurrence.  These are the orders the main term evaluates:
+    (2a + 4c - 3)/2 in the mu part and s - 1/2 in the Mordell part.
+    Relative accuracy 1e-10 for x in [1e-3, 200] up to order 31/2, away
+    from the zero of I_(-3/2) at x ~ 1.1997, and 1e-15 on (200, 700].
+    Each row (last axis) of an array x is bit-identical to `bessel_i` on
+    that row alone, and a scalar x runs as a one-element row.  An order
+    outside the band, or a value past double range (x above about 710),
+    raises `ValueError` rather than returning inf or nan.
     """
     two_nu = _as_half_integer(order)
-    if abs(two_nu) > 51:
-        raise ValueError(f"order {two_nu}/2 outside supported band")
+    if not -3 <= two_nu <= 51:
+        raise ValueError(f"order {two_nu}/2 outside supported band [-3/2, 51/2]")
     scalar = np.isscalar(x) or getattr(x, "ndim", 0) == 0
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(xs <= 0):
         raise ValueError("x must be positive")
     with np.errstate(over="ignore", invalid="ignore"):
-        if abs(two_nu) <= 5:
+        if two_nu <= 5:
             small = xs < abs(two_nu) / 2.0
             if np.all(small):
                 out = bessel_i_series(order, xs)
@@ -286,10 +266,8 @@ def bessel_i(order, x):
             else:
                 out = np.where(small, bessel_i_series(order, np.where(small, xs, 1.0)),
                                _bessel_closed(two_nu, np.where(small, 1.0, xs)))
-        elif two_nu > 0:
-            out = _bessel_positive((two_nu - 1) // 2, xs)
         else:
-            out = _bessel_negative((-two_nu - 1) // 2, xs)
+            out = _bessel_positive((two_nu - 1) // 2, xs)
     if not np.isfinite(out).all():
         raise ValueError(f"I_({two_nu}/2)(x) overflows double range")
     return float(out[0]) if scalar else out

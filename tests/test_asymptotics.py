@@ -269,6 +269,15 @@ class TestTheoremB:
             math.pi * math.sqrt(2 * n / 3))
         assert abs(theorem_b_difference_leading(3, 2, n) - expect) < 1e-9 * expect
 
+    @pytest.mark.parametrize("r, n", [(2, 76600), (8, 71000), (300, 10)])
+    def test_past_double_range_raises(self, r, n):
+        # e^(pi sqrt(2n/3)) itself overflows at n = 76600; at r = 8 the
+        # power (24n)^(r/2 - 1) carries the product past range first, and
+        # at r = 300 the Bernoulli value B_r(1/2) as a float
+        for leading in (theorem_b_leading, theorem_b_difference_leading):
+            with pytest.raises(ValueError, match="overflows double range"):
+                leading(5, r, n)
+
 
 class TestCuspExpansion:
     def test_T1_discrepancy_shrinks(self):

@@ -76,6 +76,10 @@ INVALID = [
     "asymptotic --T 25 --r 2 --n 100",
     "asymptotic --T 5 --r 2 --n 10 --k-cap 0",
     "asymptotic --T 5 --r 2 --n 0",
+    # the theorem B leading term past double range: e^(pi sqrt(2n/3))
+    # itself, and the product with (24n)^(r/2 - 1)
+    "asymptotic --T 1 --r 2 --n 76600",
+    "asymptotic --T 1 --r 4 --n 73980",
     "compare --T 3 --r 3 --n 50",
     "moments --T 3 --r 2 --n-max -5",
     "moments --T 2 --r 2 --n-max 5",

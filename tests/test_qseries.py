@@ -4,7 +4,7 @@ import pytest
 
 from trank.errors import TruncationError
 from trank.qseries import (
-    PowerSeries,
+    divide,
     euler_product,
     moment_generating_eval,
     moment_table,
@@ -27,8 +27,8 @@ class TestPowerSeries:
     def test_product_exactness(self):
         # (1/(q)_inf) * (q)_inf = 1 + O(q^(n+1))
         n = 120
-        prod = schoolbook_product(partition_series(n).coeffs, euler_product(n).coeffs)
-        assert PowerSeries(prod) == PowerSeries.one(n)
+        prod = schoolbook_product(partition_series(n), euler_product(n))
+        assert prod == [1] + [0] * n
 
     def test_mixed_sign_division_times_divisor_is_dividend(self):
         rng = random.Random(11)
@@ -36,23 +36,23 @@ class TestPowerSeries:
             n = rng.randrange(0, 30)
             a = [rng.randrange(-50, 50) for _ in range(n + 1)]
             b = [rng.choice((1, -1))] + [rng.randrange(-50, 50) for _ in range(n)]
-            quotient = PowerSeries(a) / PowerSeries(b)
-            assert quotient.order == n
-            assert schoolbook_product(quotient.coeffs, b) == a
+            quotient = divide(a, b)
+            assert len(quotient) == n + 1
+            assert schoolbook_product(quotient, b) == a
 
     def test_division_truncates_at_the_lower_order(self):
-        a = PowerSeries([3, -1, 4, 1, -5])
-        b = PowerSeries([-1, 2, 7])
-        assert (a / b).coeffs == (PowerSeries(a.coeffs[:3]) / b).coeffs
+        a = (3, -1, 4, 1, -5)
+        b = (-1, 2, 7)
+        assert divide(a, b) == divide(a[:3], b)
 
     def test_division_requires_unit_divisor(self):
         with pytest.raises(ValueError):
-            PowerSeries([1, 2]) / PowerSeries([2, 1])
+            divide([1, 2], [2, 1])
 
 
 class TestPartitionSeries:
     def test_p0(self):
-        assert partition_series(0).coeffs == (1,)
+        assert partition_series(0) == (1,)
 
     def test_small_values_vs_enumeration(self):
         for n in range(0, 13):
@@ -77,11 +77,11 @@ class TestSptOracle:
 
 class TestSptSeries:
     def test_equals_oracle(self):
-        assert spt_series(60).coeffs == (0,) + spt_oracle_upto(60)
+        assert spt_series(60) == (0,) + spt_oracle_upto(60)
 
     def test_truncation_and_guard(self):
-        assert spt_series(0).coeffs == (0,)
-        assert spt_series(80).coeffs[:41] == spt_series(40).coeffs
+        assert spt_series(0) == (0,)
+        assert spt_series(80)[:41] == spt_series(40)
         with pytest.raises(ValueError):
             spt_series(-1)
 
