@@ -32,6 +32,7 @@ from .asymptotics import (
 from .errors import ConvergenceError, TruncationError
 from .mockforms import (
     EvaluationPoint,
+    TOLERANCES,
     VERIFICATION_CASES,
     VerificationReport,
     c_kernel,
@@ -47,7 +48,6 @@ from .qseries import (
     rank_count_table,
 )
 from .specfun import (
-    IntegralParams,
     bernoulli_half,
     bessel_i,
     bessel_integral,
@@ -71,12 +71,12 @@ __all__ = [
     "ConvergenceError",
     "CuspExpansionReport",
     "EvaluationPoint",
-    "IntegralParams",
     "KloostermanValue",
     "MomentTable",
     "RankCountTable",
     "ScanReport",
     "TermBreakdown",
+    "TOLERANCES",
     "TruncationError",
     "VERIFICATION_CASES",
     "VerificationReport",

@@ -32,7 +32,6 @@ import numpy as np
 
 from .qseries import moment_generating_eval, moment_table
 from .specfun import (
-    IntegralParams,
     bernoulli_half,
     bessel_i,
     bessel_integrals,
@@ -220,22 +219,20 @@ def theorem_a_main(query: AsymptoticQuery) -> TermBreakdown:
 
     # per (c, s = a + c): the values of every (k, varrho) group, one list
     # per group with one value per alpha, from one quadrature pass
-    integrals = {(c, s): bessel_integrals([(IntegralParams(
-        T=T, alpha=group[0], beta=betas[gcd(T, k)][rho], delta=Fraction(-1, 12),
-        varrho=Fraction(rho, T), c=c, d=Fraction(-1, 2) - s, k=k, n=n,
-    ), group) for (k, rho), group in alphas.items()])
-        for c, s in dict.fromkeys((c, a + c) for (a, _, c) in abc)}
+    groups = [(k, float(betas[gcd(T, k)][rho]), rho, group)
+              for (k, rho), group in alphas.items()]
+    integrals = {(c, s): bessel_integrals(T, n, c, s, groups)
+                 for c, s in dict.fromkeys((c, a + c) for (a, _, c) in abc)}
     weights = {key: kappa_h(*key).to_float() for key in abc}
     factors = {}  # (k, varrho) -> per (a, b, c): its weight, powers and integrals
-    for j, (k, rho) in enumerate(alphas):
+    for j, (k, beta, rho, _) in enumerate(groups):
         gamma = gcd(T, k)
-        beta = betas[gamma][rho]
         factors[(k, rho)] = [
             ((a, b, c), weights[(a, b, c)],
              float(k * T) ** (a - 0.5),
              gamma ** (c + 0.5),
              (2.0 * n - 1.0 / 12.0) ** ((a + c) / 2.0 - 0.25),
-             float(beta) ** (0.75 - (a + c) / 2.0),
+             beta ** (0.75 - (a + c) / 2.0),
              integrals[(c, a + c)][j])
             for (a, b, c) in abc]
 

@@ -21,9 +21,6 @@ import sys
 
 from . import asymptotics, mockforms, qseries
 
-_DEFAULT_TOLS = {case: 1e-8 for case in mockforms.VERIFICATION_CASES}
-_DEFAULT_TOLS["prop_4_2"] = 1e-7
-
 OUTPUT_DIR_ENV = "TRANK_OUT_DIR"
 
 
@@ -158,7 +155,7 @@ def _run_verify(args: argparse.Namespace) -> int:
     reports = []
     failed = False
     for case in cases:
-        tol = _DEFAULT_TOLS[case] * args.tol_scale
+        tol = mockforms.TOLERANCES[case] * args.tol_scale
         report = mockforms.verify_transformation(
             case, trials=args.trials, tolerance=tol, seed=args.seed,
             threads=args.threads)
@@ -280,9 +277,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Parse and dispatch one command; returns the process exit code.
 
-    Invalid input, whether the parser or the library rejects it, and an
-    output path that cannot be written end with exit status 2 and one
-    `error:` line on stderr.
+    Invalid input, whether the parser or the library rejects it, an n
+    too large for a table, and an output path that cannot be written end
+    with exit status 2 and one `error:` line on stderr.
     """
     try:
         args = _build_parser().parse_args(argv)
@@ -292,7 +289,7 @@ def main(argv=None) -> int:
         if hasattr(args, "n"):
             args.n = parse_n_values(args.n)
         return _DISPATCH[args.command](args)
-    except (OSError, ValueError) as exc:
+    except (OSError, OverflowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,7 +12,9 @@ Three groups live here:
   oracle);
 * quadratures: the Mordell integral H, the cosh-Gaussian line integral
   script_h over the real axis, and the Bessel-weighted integral over
-  [-1, 1] that multiplies the partial Kloosterman sums.
+  [-1, 1] that multiplies the partial Kloosterman sums.  Its inputs are
+  plain numbers: T, n, c, s = a + c and, per (k, varrho) group, k, the
+  float gate beta, the integer rho of varrho = rho/T and the alphas.
 
 All quadratures are deterministic for fixed inputs and tolerance.
 """
@@ -21,7 +23,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd
@@ -422,51 +423,6 @@ def script_h(c: int, T: int, alpha, gamma: int, varrho, k: int, z: complex,
                                 tol=tol, extra_log=extra)
 
 
-@dataclass(frozen=True)
-class IntegralParams:
-    """Parameters of the Bessel-weighted [-1, 1] integral.
-
-    The usual conditions: beta > 0, |varrho| < 1/2, d a half-integer with
-    d + 1/2 <= 0, and 2n + delta > 0.
-    """
-
-    T: int
-    alpha: float
-    beta: Fraction
-    delta: Fraction
-    varrho: Fraction
-    c: int
-    d: Fraction
-    k: int
-    n: int
-
-    def __post_init__(self):
-        if self.T < 1 or self.T % 2 == 0:
-            raise ValueError("T must be odd and positive")
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
-        if abs(self.varrho) >= Fraction(1, 2):
-            raise ValueError("|varrho| must be < 1/2")
-        if (2 * self.d) % 1 != 0 or (2 * self.d) % 2 == 0:
-            raise ValueError("d must be a half-integer")
-        if self.d + Fraction(1, 2) > 0:
-            raise ValueError("d + 1/2 must be <= 0")
-        if 2 * self.n + self.delta <= 0:
-            raise ValueError("2n + delta must be positive")
-
-    @property
-    def gamma_co(self) -> int:
-        return self.T // gcd(self.T, self.k)
-
-    @property
-    def lam(self) -> float:
-        return math.sqrt(float(self.beta) / self.T) * self.gamma_co
-
-    @property
-    def bessel_order(self) -> Fraction:
-        return -self.d - 1
-
-
 @lru_cache(maxsize=None)
 def _gauss_legendre() -> tuple:
     """The 24-point Gauss-Legendre nodes and weights on [-1, 1], built on
@@ -474,20 +430,23 @@ def _gauss_legendre() -> tuple:
     return np.polynomial.legendre.leggauss(24)
 
 
-def bessel_integral(params: IntegralParams, tol: float = 1e-9) -> complex:
-    """The [-1, 1] integral of the asymptotic formula's Mordell part.
+def bessel_integral(T: int, n: int, c: int, s: int, k: int, beta: float, rho: int,
+                    alpha: float, tol: float = 1e-9) -> complex:
+    """The [-1, 1] integral of the asymptotic formula's Mordell part,
 
-    Gauss-Legendre panels with panel-count doubling; the integrand extends
-    analytically across x = +-1 (the endpoint power (1-x^2)^((d+1)/2)
-    cancels against the small-argument power of the Bessel factor), so no
-    endpoint weighting is needed and interior nodes suffice.  The
-    polynomial factor is (lam x)^c, inherited from `script_h`.
+        int_(-1)^1 (lam x)^c e^(2 pi lam alpha x) (1 - x^2)^((1/2 - s)/2)
+            I_(s - 1/2)((2 pi / k) sqrt(beta (24n - 1)/12) sqrt(1 - x^2))
+            / cosh(pi (lam x + i rho / T)) dx,
 
-    The doubling test is relative; when the integrand cancels to
-    essentially zero (odd symmetry), agreement at the roundoff floor of
-    the node-sum magnitude counts as converged.
+    with lam = sqrt(beta / T) T / gcd(T, k): odd T >= 1, n >= 1, c >= 0,
+    s >= 0, beta > 0 and 2|rho| < T, else `ValueError`.
+
+    Gauss-Legendre panels with panel-count doubling: the integrand is
+    analytic across x = +-1, so interior nodes suffice.  The doubling test
+    is relative, or at the roundoff floor of the node-sum magnitude when
+    the integrand cancels (odd symmetry).
     """
-    return bessel_integrals([(params, [params.alpha])], tol)[0][0]
+    return bessel_integrals(T, n, c, s, [(k, beta, rho, [alpha])], tol)[0][0]
 
 
 # The most (alpha x panel x node) values that `bessel_integrals` holds in
@@ -496,42 +455,46 @@ def bessel_integral(params: IntegralParams, tol: float = 1e-9) -> complex:
 _BLOCK_NODES = 1 << 13
 
 
-def bessel_integrals(groups, tol: float = 1e-9) -> list[list[complex]]:
-    """`bessel_integral` at each alpha of each (params, alphas) group, as one
-    list of values per group (`params.alpha` itself is not used).
+def bessel_integrals(T: int, n: int, c: int, s: int, groups,
+                     tol: float = 1e-9) -> list[list[complex]]:
+    """`bessel_integral` at each alpha of each (k, beta, rho, alphas) group,
+    as one list of values per group.
 
-    The groups must share c and d, so the polynomial power, the endpoint
-    power and the Bessel order; k, beta, varrho and n may differ.  Only
-    the factor e^(2 pi lam alpha x) depends on alpha, so at each panel
-    count the alpha-free factors are evaluated once for every group with
-    an alpha not yet converged: the Bessel factor of all those groups in
-    one `bessel_i` call on a (group x panel x 24) array, which gives each
-    (group, panel) row its own Miller start, then (lam x)^c and the cosh
-    factor.  The pending alphas of all groups are then evaluated in
-    blocks of at most `_BLOCK_NODES` values, one (alpha x panel x 24)
-    array each.  Each node's value is the same product, in the same
-    order, as in a one-alpha, one-panel array; each alpha accumulates its
-    panel sums in panel order and keeps its own doubling test, leaving
-    the pending set when that passes.  So every value is bit-identical to
-    a one-alpha call, and to evaluating the panels one by one.
+    Only e^(2 pi lam alpha x) depends on alpha, so at each panel count the
+    alpha-free factors of every group with a pending alpha are built once:
+    the Bessel factor in one `bessel_i` call on a (group x panel x 24)
+    array, each (group, panel) row with its own Miller start, then
+    (lam x)^c and the cosh factor.  The pending alphas are evaluated in
+    blocks of at most `_BLOCK_NODES` values.  Each node's value is the
+    same product, in the same order, as in a one-alpha, one-panel array,
+    and each alpha sums its panels in order and keeps its own doubling
+    test, so every value is bit-identical to a one-alpha call.
     """
+    if T < 1 or T % 2 == 0:
+        raise ValueError("T must be odd and positive")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if c < 0:
+        raise ValueError("c must be >= 0")
+    if s < 0:
+        raise ValueError("s must be >= 0")
+    if any(not beta > 0 for _, beta, _, _ in groups):
+        raise ValueError("beta must be positive")
+    if any(2 * abs(rho) >= T for _, _, rho, _ in groups):
+        raise ValueError("2|rho| must be < T")
     if not groups:
         return []
-    c, d = groups[0][0].c, groups[0][0].d
-    if any(params.c != c or params.d != d for params, _ in groups):
-        raise ValueError("bessel_integrals groups must share c and d")
-    half_exp = float(d + 1) / 2.0
-    order = groups[0][0].bessel_order
-    arg_scale = np.array([
-        2.0 * math.pi * math.sqrt(float(params.beta) * float(2 * params.n + params.delta))
-        / params.k for params, _ in groups])
+    half_exp = (0.5 - s) / 2.0
+    order = Fraction(2 * s - 1, 2)
+    arg_scale = np.array([2.0 * math.pi * math.sqrt(beta * ((24 * n - 1) / 12)) / k
+                          for k, beta, _, _ in groups])
     if (arg_scale > 700.0).any():
         raise ValueError("Bessel argument overflows double range")
-    lam = np.array([params.lam for params, _ in groups])
-    shift = np.array([1j * float(params.varrho) for params, _ in groups])
-    owner = np.repeat(np.arange(len(groups)), [len(alphas) for _, alphas in groups])
+    lam = np.array([math.sqrt(beta / T) * (T // gcd(T, k)) for k, beta, _, _ in groups])
+    shift = np.array([1j * (rho / T) for _, _, rho, _ in groups])
+    owner = np.repeat(np.arange(len(groups)), [len(alphas) for *_, alphas in groups])
     slopes = 2.0 * math.pi * lam[owner] * np.array(
-        [float(alpha) for _, alphas in groups for alpha in alphas])
+        [float(alpha) for *_, alphas in groups for alpha in alphas])
     nodes, weights = _gauss_legendre()
     out = np.empty(len(slopes), dtype=complex)
     pending = np.arange(len(slopes))
@@ -584,4 +547,4 @@ def bessel_integrals(groups, tol: float = 1e-9) -> list[list[complex]]:
         prev = total
         panels *= 2
     values = iter(out.tolist())
-    return [[next(values) for _ in alphas] for _, alphas in groups]
+    return [[next(values) for _ in alphas] for *_, alphas in groups]

@@ -87,6 +87,11 @@ INVALID = [
     "scan --T 5 --r 2 --n 0..10",
     "scan --T 1 --r 2",
     "spt-check --n-max 0",
+    # an n too large for a table or range to hold
+    "moments --T 1 --r 2 --n-max 99999999999999999999",
+    "spt-check --n-max 99999999999999999999",
+    "scan --T 3 --r 2 --n 1..99999999999999999999",
+    "compare --T 1 --r 2 --n 99999999999999999999",
     # rejected by the argument parser: a missing required option, an
     # option the command does not have
     "moments --T 3 --r 2",

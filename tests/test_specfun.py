@@ -1,8 +1,8 @@
-import dataclasses
 import itertools
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import warnings
@@ -12,9 +12,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from trank.asymptotics import positivity_gate
 from trank.errors import ConvergenceError
 from trank.specfun import (
-    IntegralParams,
     _trapezoid_real_line,
     bernoulli_half,
     bernoulli_number,
@@ -409,16 +409,26 @@ class TestScriptH:
 
 
 def _params(**kw):
-    base = dict(T=5, alpha=Fraction(-1, 5), beta=Fraction(1, 30),
-                delta=Fraction(-1, 12), varrho=Fraction(2, 5), c=1,
-                d=Fraction(-3, 2), k=1, n=100)
+    """`bessel_integral`'s arguments but alpha: a T = 5 group past the gate."""
+    base = dict(T=5, n=100, c=1, s=1, k=1, beta=1 / 30, rho=2)
     base.update(kw)
-    return IntegralParams(**base)
+    return base
+
+
+def _grouped(p, alphas):
+    """`bessel_integrals` of p's one group at each of alphas."""
+    return bessel_integrals(p["T"], p["n"], p["c"], p["s"],
+                            [(p["k"], p["beta"], p["rho"], alphas)])
+
+
+def _gate(T, rho):
+    """The positivity gate at gamma = 1, as a float."""
+    return float(positivity_gate(T, 1, rho))
 
 
 class TestBesselIntegral:
     def test_odd_symmetry_zero(self):
-        val = bessel_integral(_params(alpha=Fraction(0), varrho=Fraction(0)))
+        val = bessel_integral(**_params(rho=0), alpha=0.0)
         assert abs(val) < 1e-7  # roundoff floor of a cancelling integrand
 
     def test_node_doubling_agreement(self):
@@ -427,32 +437,29 @@ class TestBesselIntegral:
             T = rng.choice([5, 7, 11])
             half = (T - 1) // 2
             rho = rng.randrange(-half, half + 1)
-            gate = Fraction(1, 12) - Fraction(1, T**3) * (
-                Fraction(rho * rho) + Fraction(T * T, 4) - abs(rho) * T)
+            gate = _gate(T, rho)
             if gate <= 0:
                 continue
-            p = _params(T=T, beta=gate, varrho=Fraction(rho, T),
-                        alpha=Fraction(rng.randrange(-2, 3), T),
-                        c=rng.choice([1, 3]),
-                        d=Fraction(-3, 2) - rng.choice([0, 1]),
+            p = _params(T=T, beta=gate, rho=rho, alpha=rng.randrange(-2, 3) / T,
+                        c=rng.choice([1, 3]), s=1 + rng.choice([0, 1]),
                         k=rng.randrange(1, 4), n=rng.choice([100, 400]))
-            a = bessel_integral(p, tol=1e-9)
-            b = bessel_integral(p, tol=1e-11)
+            a = bessel_integral(**p, tol=1e-9)
+            b = bessel_integral(**p, tol=1e-11)
             assert abs(a - b) <= 1e-8 * max(abs(a), 1.0)
 
     def test_growth_envelope(self):
-        # |integral| <= C n^(d/2 + 1/4) e^(2 pi sqrt(2 beta n) / k) with one
-        # C fitted at the smallest n and reused
+        # |integral| <= C n^(d/2 + 1/4) e^(2 pi sqrt(2 beta n) / k), with
+        # d = -1/2 - s, and one C fitted at the smallest n and reused
         p100 = _params(n=100)
-        beta = float(p100.beta)
-        d = float(p100.d)
+        beta = p100["beta"]
+        d = -0.5 - p100["s"]
 
         def envelope(n):
             return n ** (d / 2 + 0.25) * math.exp(2 * math.pi * math.sqrt(2 * beta * n))
 
-        c_fit = abs(bessel_integral(p100)) / envelope(100)
+        c_fit = abs(bessel_integral(**p100, alpha=-0.2)) / envelope(100)
         for n in (400, 1600):
-            assert abs(bessel_integral(_params(n=n))) <= 4.0 * c_fit * envelope(n)
+            assert abs(bessel_integral(**_params(n=n), alpha=-0.2)) <= 4.0 * c_fit * envelope(n)
 
     def test_shared_grid_matches_one_alpha_calls(self, monkeypatch):
         # a group's values do not depend on the other alphas in it, nor on
@@ -460,11 +467,10 @@ class TestBesselIntegral:
         # inner ones at 8, and the group evaluates the Bessel factor once
         # per panel count, all panels in one call: 3 calls of one group's
         # 2, 4 and 8 panels
-        p = _params(T=7, beta=Fraction(1, 12) - Fraction(1, 4 * 343), varrho=Fraction(3, 7),
-                    c=1, d=Fraction(-7, 2), k=1, n=40)
-        alphas = [Fraction(s, 20) for s in range(-9, 10, 3)]
-        alone = [bessel_integral(dataclasses.replace(p, alpha=a)) for a in alphas]
-        assert bessel_integrals([(p, alphas[::-1])]) == [alone[::-1]]
+        p = _params(T=7, beta=_gate(7, 3), rho=3, c=1, s=3, k=1, n=40)
+        alphas = [s / 20 for s in range(-9, 10, 3)]
+        alone = [bessel_integral(**p, alpha=a) for a in alphas]
+        assert _grouped(p, alphas[::-1]) == [alone[::-1]]
         calls = []
         original = bessel_i
 
@@ -473,19 +479,18 @@ class TestBesselIntegral:
             return original(order, y)
 
         monkeypatch.setattr("trank.specfun.bessel_i", counting)
-        assert bessel_integrals([(p, alphas)]) == [alone]
+        assert _grouped(p, alphas) == [alone]
         assert calls == [(1, 2, 24), (1, 4, 24), (1, 8, 24)]
-        assert bessel_integrals([(p, [])]) == [[]]
-        assert bessel_integrals([]) == []
+        assert _grouped(p, []) == [[]]
+        assert bessel_integrals(7, 40, 1, 3, []) == []
 
     def test_pending_alphas_converge_at_their_own_panel_count(self, monkeypatch):
         # T = 13, varrho = 6/13: the two outer alphas converge at 8 panels
         # and the inner ones at 16.  In shuffled order the group gives each
         # alpha exactly its one-alpha value, from one Bessel call per panel
         # count: 2, 4, 8 and 16 panels of the one group
-        p = _params(T=13, beta=Fraction(1, 12) - Fraction(1, 4 * 13**3),
-                    varrho=Fraction(6, 13), c=1, d=Fraction(-5, 2), k=1, n=40)
-        alphas = [Fraction(s, 25) for s in range(-12, 13, 3)]
+        p = _params(T=13, beta=_gate(13, 6), rho=6, c=1, s=2, k=1, n=40)
+        alphas = [s / 25 for s in range(-12, 13, 3)]
         random.Random(3).shuffle(alphas)
         original = bessel_i
         panels = []
@@ -498,28 +503,25 @@ class TestBesselIntegral:
         values, counts = [], []
         for a in alphas:
             panels.clear()
-            values.append(bessel_integral(dataclasses.replace(p, alpha=a)))
+            values.append(bessel_integral(**p, alpha=a))
             counts.append(len(panels))
         assert sorted(set(counts)) == [3, 4]
         panels.clear()
-        assert bessel_integrals([(p, alphas)]) == [values]
+        assert _grouped(p, alphas) == [values]
         assert panels == [(1, 2, 24), (1, 4, 24), (1, 8, 24), (1, 16, 24)]
 
     def test_groups_in_one_pass_match_one_call_per_group(self, monkeypatch):
-        # three T = 13 groups of one (c, d) with different k and varrho, and
+        # three T = 13 groups of one (c, s) with different k and varrho, and
         # beta = gate(|varrho|): alone, the first converges at 8 and 16
         # panels, the second at 4 and the third at 8.  In one call, and in
         # blocks that end inside a group and span two groups, every value
         # is bit-identical to its group's own call
         def group(k, rho, alphas):
-            beta = Fraction(1, 12) - Fraction(1, 13**3) * (
-                Fraction(rho * rho) + Fraction(169, 4) - 13 * abs(rho))
-            return (_params(T=13, beta=beta, varrho=Fraction(rho, 13), c=1,
-                            d=Fraction(-5, 2), k=k, n=40), alphas)
+            return (k, _gate(13, rho), rho, alphas)
 
-        groups = [group(1, 6, [Fraction(s, 25) for s in range(-12, 13, 3)]),
-                  group(2, 5, [Fraction(s, 26) for s in (-11, -2, 7)]),
-                  group(3, -6, [Fraction(s, 25) for s in range(-12, 13, 6)])]
+        groups = [group(1, 6, [s / 25 for s in range(-12, 13, 3)]),
+                  group(2, 5, [s / 26 for s in (-11, -2, 7)]),
+                  group(3, -6, [s / 25 for s in range(-12, 13, 6)])]
         original = bessel_i
         shapes = []
 
@@ -531,18 +533,14 @@ class TestBesselIntegral:
         alone, panels = [], []
         for g in groups:
             shapes.clear()
-            alone.append(bessel_integrals([g])[0])
+            alone.append(bessel_integrals(13, 40, 1, 2, [g])[0])
             panels.append([shape[1] for shape in shapes])
         assert panels == [[2, 4, 8, 16], [2, 4], [2, 4, 8]]
         # 17 alphas: blocks of 5 at 2 panels, of 2 at 4 and of 1 from 8 on
         monkeypatch.setattr("trank.specfun._BLOCK_NODES", 5 * 2 * 24)
         shapes.clear()
-        assert bessel_integrals(groups) == alone
+        assert bessel_integrals(13, 40, 1, 2, groups) == alone
         assert shapes == [(3, 2, 24), (3, 4, 24), (2, 8, 24), (1, 16, 24)]
-
-    def test_groups_must_share_c_and_d(self):
-        with pytest.raises(ValueError):
-            bessel_integrals([(_params(), [0.1]), (_params(c=3), [0.1])])
 
     def test_unconvergeable_group_raises(self, monkeypatch):
         # a Bessel factor that drifts on every call keeps each alpha's
@@ -552,7 +550,7 @@ class TestBesselIntegral:
         monkeypatch.setattr("trank.specfun.bessel_i",
                             lambda order, y: original(order, y) * (1.0 + 0.01 * next(drift)))
         with pytest.raises(ConvergenceError):
-            bessel_integrals([(_params(), [Fraction(-1, 5), Fraction(1, 7)])])
+            _grouped(_params(), [-1 / 5, 1 / 7])
 
     def test_import_leaves_numpy_polynomial_unloaded(self):
         # the Gauss-Legendre nodes are built on first use, not at import
@@ -565,12 +563,18 @@ class TestBesselIntegral:
                              text=True, check=True, env=env).stdout
         assert out.strip() == "False"
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            _params(beta=Fraction(-1, 30))
-        with pytest.raises(ValueError):
-            _params(varrho=Fraction(1, 2))
-        with pytest.raises(ValueError):
-            _params(d=Fraction(1, 2))
-        with pytest.raises(ValueError):
-            _params(d=Fraction(-1))
+    # one argument out of range at a time; each must trip its own check
+    @pytest.mark.parametrize("change, message", [
+        pytest.param(dict(beta=0.0), "beta must be positive", id="beta-zero"),
+        pytest.param(dict(beta=-1 / 30), "beta must be positive", id="beta-negative"),
+        pytest.param(dict(rho=3), "2|rho| must be < T", id="rho-high"),
+        pytest.param(dict(rho=-3), "2|rho| must be < T", id="rho-low"),
+        pytest.param(dict(s=-1), "s must be >= 0", id="s-negative"),
+        pytest.param(dict(c=-1), "c must be >= 0", id="c-negative"),
+        pytest.param(dict(T=6), "T must be odd", id="T-even"),
+        pytest.param(dict(n=0), "n must be >= 1", id="n-zero"),
+    ])
+    def test_validation(self, change, message):
+        assert _grouped(_params(), [0.1])  # the unchanged arguments are valid
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _grouped(_params(**change), [0.1])
