@@ -386,10 +386,6 @@ class ScanReport:
     violations: tuple
     n0: int
 
-    @property
-    def holds_from_n0(self) -> bool:
-        return all(v < self.n0 for v in self.violations)
-
     def as_dict(self) -> dict:
         return {
             "T": self.T,
@@ -447,16 +443,15 @@ class ComparisonRow:
 
 
 def comparison_rows(T: int, r: int, ns) -> list[ComparisonRow]:
-    """Exact values next to both main terms for each requested n."""
+    """Exact values next to both main terms for each requested n.
+
+    Theorem B is evaluated for every n first, so an n past double range
+    is rejected before the table or any main term is built.
+    """
     queries = [AsymptoticQuery(T=T, r=r, n=n) for n in sorted(set(ns))]
+    leading = [theorem_b_leading(T, r, query.n) for query in queries]
     table = moment_table(T, r, queries[-1].n)
-    rows = []
-    for query in queries:
-        breakdown = theorem_a_main(query)
-        rows.append(ComparisonRow(
-            T=T, r=r, n=query.n, exact=table[query.n],
-            thm_a_main=breakdown.total,
-            thm_b_leading=theorem_b_leading(T, r, query.n),
-        ))
-    return rows
+    return [ComparisonRow(T=T, r=r, n=query.n, exact=table[query.n],
+                          thm_a_main=theorem_a_main(query).total, thm_b_leading=lead)
+            for query, lead in zip(queries, leading)]
 

@@ -159,14 +159,14 @@ def _mu_tau_mp(u, v, tau, mp):
     return mp.expjpi(u) * a_sum / theta_sum
 
 
-def r_tau(w: complex, tau: complex, tol: float = 1e-14) -> complex:
+def r_tau(w: complex, tau: complex) -> complex:
     """Zwegers' non-holomorphic R-function
     sum_{nu in 1/2 + Z} (-1)^(nu - 1/2) (sgn(nu) - E(x_nu)) e^(-pi i nu^2 tau
     - 2 pi i nu w),  x_nu = (nu + Im w / Im tau) sqrt(2 Im tau).
 
     The complementary-error decay of sgn - E beats the e^(pi nu^2 Im tau)
     growth, leaving a Gaussian tail centered at nu = -Im w / Im tau; the
-    window edge term is checked against `tol` times the running scale.
+    window edge term is checked against 1e-14 times the running scale.
 
     sgn(nu) - E(x) is evaluated as sgn erfc(sgn sqrt(pi) x) rather than as
     a literal subtraction from +-1: the subtraction only has absolute
@@ -193,7 +193,7 @@ def r_tau(w: complex, tau: complex, tol: float = 1e-14) -> complex:
         acc += term
         scale = max(scale, abs(term))
     edge = math.exp(-math.pi * y * ((hi + 0.5 + a) ** 2 + a * a))
-    if edge > tol * max(scale, 1e-300):
+    if edge > 1e-14 * max(scale, 1e-300):
         raise ConvergenceError("R-function window too small for tolerance")
     return acc
 
@@ -370,19 +370,15 @@ def _trial_theta_modular(rng):
     return lhs, rhs, {"h": h, "k": k, "z": z, "v": v}
 
 
-def _draw_mu_args(rng, tau, margin=0.05):
-    return _draw(lambda: (complex(rng.uniform(-0.45, 0.45), rng.uniform(-0.2, 0.2)),
-                          complex(rng.uniform(-0.45, 0.45), rng.uniform(-0.2, 0.2))),
-                 lambda uv: (lattice_distance(uv[0], tau) >= margin
-                             and lattice_distance(uv[1], tau) >= margin
-                             and abs(theta_tau(uv[1], tau)) > 1e-6),
-                 200)
-
-
 def _trial_muhat_elliptic(rng):
     z = complex(rng.uniform(0.3, 0.9), rng.uniform(-0.3, 0.3))
     tau = 1j * z
-    u, v = _draw_mu_args(rng, tau)
+    u, v = _draw(lambda: (complex(rng.uniform(-0.45, 0.45), rng.uniform(-0.2, 0.2)),
+                          complex(rng.uniform(-0.45, 0.45), rng.uniform(-0.2, 0.2))),
+                 lambda uv: (lattice_distance(uv[0], tau) >= 0.05
+                             and lattice_distance(uv[1], tau) >= 0.05
+                             and abs(theta_tau(uv[1], tau)) > 1e-6),
+                 200)
     # one try: a rejected shift redraws the whole trial, z included
     m, n, mp_, np_ = _draw(lambda: [rng.choice([-1, 0, 1]) for _ in range(4)],
                            lambda s: (lattice_distance(u + s[0] * tau + s[1], tau) >= 0.04
@@ -531,7 +527,7 @@ def _trial_prop_4_2(rng):
         # in double.
         import mpmath
 
-        mp = mpmath.MPContext()  # its own precision: trials may run in threads
+        mp = mpmath.MPContext()  # its own precision, leaving mpmath.mp alone
         mp.dps = 32
         i_over = -gco * k * mp.mpc(z_h) / T  # i / (gco z)
         tau_mp = mp.mpf(g) / k * (inv2 + i_over)
@@ -611,17 +607,18 @@ def _jsonable(value):
     return value
 
 
-def verify_transformation(case: str, trials: int = 20, tolerance: float = 1e-8,
-                          seed: int = 0, threads: int = 1) -> VerificationReport:
-    """Run seeded randomized trials of one transformation law.
+def verify_transformation(case: str, trials: int = 20, tolerance: float | None = None,
+                          seed: int = 0) -> VerificationReport:
+    """Run seeded randomized trials of one transformation law, in index
+    order, against `tolerance` (default `TOLERANCES[case]`).
 
     Each trial draws its own `random.Random(f"{case}|{seed}|{index}")`, so
-    reports are bit-identical across runs for fixed arguments; `threads`
-    caps a worker pool (trial order in the report is always by index).
+    reports are bit-identical across runs for fixed arguments.
     """
     if case not in _TRIALS:
         raise ValueError(f"unknown case {case!r}; choose from {VERIFICATION_CASES}")
     fn = _TRIALS[case]
+    tolerance = TOLERANCES[case] if tolerance is None else tolerance
 
     def run_one(i: int):
         rng = random.Random(f"{case}|{seed}|{i}")
@@ -632,17 +629,10 @@ def verify_transformation(case: str, trials: int = 20, tolerance: float = 1e-8,
                 continue
         raise RuntimeError(f"case {case}: trial {i} could not draw valid inputs")
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run_one, range(trials)))
-    else:
-        outcomes = [run_one(i) for i in range(trials)]
-
     report = VerificationReport(case=case, trials=trials, tolerance=tolerance,
                                 seed=seed, max_rel_err=0.0)
-    for i, (lhs, rhs, inputs) in enumerate(outcomes):
+    for i in range(trials):
+        lhs, rhs, inputs = run_one(i)
         err = _rel_err(lhs, rhs)
         report.max_rel_err = max(report.max_rel_err, err)
         if err > tolerance:

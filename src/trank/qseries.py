@@ -185,10 +185,6 @@ class MomentTable:
     r: int
     values: tuple
 
-    @property
-    def n_max(self) -> int:
-        return len(self.values) - 1
-
     def __getitem__(self, n: int) -> int:
         return self.values[n]
 
@@ -222,14 +218,12 @@ def moment_table(T: int, r: int, n_max: int) -> MomentTable:
     return MomentTable(T=T, r=r, values=divide(weighted, euler_product(n_max)))
 
 
-def moment_generating_eval(
-    T: int, r: int, q0: complex, n_max: int, tol: float = 1e-12
-) -> complex:
+def moment_generating_eval(T: int, r: int, q0: complex, n_max: int) -> complex:
     """sum_{n <= n_max} m_T^r(n) q0^n with a truncation-tail guard.
 
     The tail beyond n_max is estimated from the last two coefficients as a
     geometric series; a TruncationError is raised when that estimate exceeds
-    `tol` times the magnitude of the partial sum.
+    1e-12 times the magnitude of the partial sum.
     """
     if abs(q0) >= 1:
         raise ValueError("moment generating function requires |q0| < 1")
@@ -244,7 +238,7 @@ def moment_generating_eval(
                 f"tail ratio {ratio:.3f} too close to 1 at n_max={n_max}"
             )
         tail = abs(table.values[n_max]) * abs(q0) ** n_max * ratio / (1 - ratio)
-        if tail > tol * max(1.0, abs(acc)):
+        if tail > 1e-12 * max(1.0, abs(acc)):
             raise TruncationError(
                 f"estimated tail {tail:.3e} exceeds tolerance at n_max={n_max}"
             )

@@ -65,10 +65,6 @@ class PiRational(NamedTuple):
     def to_float(self) -> float:
         return float(self.rational) * math.pi**self.pi_exponent
 
-    @property
-    def is_zero(self) -> bool:
-        return self.rational == 0
-
 
 def kappa(a: int, b: int, c: int) -> PiRational:
     """First coefficient family; zero outside nonnegative integer support.

@@ -138,7 +138,6 @@ def u_h(T: int, t: int, l: int, h: int, k: int) -> Fraction:
 @dataclass(frozen=True)
 class KloostermanValue:
     k: int
-    n: int
     value: complex
     terms: int
 
@@ -159,7 +158,7 @@ def kloosterman_sum(k: int, n: int) -> KloostermanValue:
     nums = [(21 * k - 24 * n * h + h - neg_inverse(h, k) - k * chi_twelfths(h, k)) % (24 * k)
             for h in range(k) if gcd(h, k) == 1]
     value = sum(phase(num, 12 * k) for num in nums)
-    return KloostermanValue(k=k, n=n, value=value, terms=len(nums))
+    return KloostermanValue(k=k, value=value, terms=len(nums))
 
 
 def kloosterman_partial(
@@ -178,7 +177,7 @@ def kloosterman_partial(
     if not 0 <= l < sums.shape[2]:
         raise ValueError(f"l={l} outside 0..{sums.shape[2] - 1}")
     i = t + half - (t > 0)
-    return KloostermanValue(k=k, n=n, value=complex(sums[i, 0, l]), terms=int(counts[i, 0]))
+    return KloostermanValue(k=k, value=complex(sums[i, 0, l]), terms=int(counts[i, 0]))
 
 
 def _check_range(T: int, k: int) -> None:

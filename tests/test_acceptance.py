@@ -208,7 +208,8 @@ def test_criterion_9_inequality_scan():
     expected_n0 = {(3, 2): 1, (3, 4): 1, (5, 2): 2, (5, 4): 2}
     for (T, r), n0 in expected_n0.items():
         rep = garvan_scan(T, r, 1, 1500)
-        ok = ok and rep.n0 == n0 and rep.n0 <= 50 and rep.holds_from_n0
+        ok = ok and rep.n0 == n0 and rep.n0 <= 50
+        ok = ok and all(v < rep.n0 for v in rep.violations)
         details.append(f"(T={T},r={r}):n0={rep.n0}")
     report("criterion 9: exact moment-inequality scan", ok, " ".join(details))
 

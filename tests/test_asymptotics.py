@@ -365,7 +365,6 @@ class TestGarvanScan:
         report = garvan_scan(5, 2, 1, 300)
         assert report.n0 <= 50
         assert all(v < report.n0 for v in report.violations)
-        assert report.holds_from_n0
 
     def test_validation(self):
         with pytest.raises(ValueError):

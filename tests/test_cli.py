@@ -82,9 +82,30 @@ class TestVerify:
         assert code == 1
 
     def test_threads_flag(self, tmp_path):
+        # trials run in one thread; 1 is the only value accepted
         out = tmp_path / "t.json"
         assert main(["verify", "--case", "R_props", "--trials", "6",
-                     "--threads", "3", "--out", str(out)]) == 0
+                     "--threads", "1", "--out", str(out)]) == 0
+        assert main(["verify", "--case", "R_props", "--trials", "6",
+                     "--threads", "3", "--out", str(out)]) == 2
+
+
+def _run_trank(argv: str, timeout=None) -> subprocess.CompletedProcess:
+    """`python -m trank` on `argv` in a fresh process, with src/ on the path."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    env.pop("TRANK_OUT_DIR", None)
+    return subprocess.run([sys.executable, "-m", "trank", *argv.split()],
+                          capture_output=True, text=True, env=env, timeout=timeout)
+
+
+def _assert_one_error_line(proc: subprocess.CompletedProcess) -> None:
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
 
 
 class TestCompareScanSpt:
@@ -138,18 +159,14 @@ class TestCompareScanSpt:
     def test_overflowing_asymptotic_exits_2(self):
         # a main term past double range is invalid input: exit 2 and one
         # error line from the process, no traceback, no numpy warning
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-        env.pop("TRANK_OUT_DIR", None)
-        proc = subprocess.run(
-            [sys.executable, "-m", "trank", "asymptotic", "--T", "1", "--r", "2",
-             "--n", "80000"], capture_output=True, text=True, env=env)
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+        _assert_one_error_line(_run_trank("asymptotic --T 1 --r 2 --n 80000"))
+
+    @pytest.mark.parametrize("argv", ["asymptotic --T 1 --r 2 --n 99999999999999999999",
+                                      "compare --T 1 --r 2 --n 80000"])
+    def test_huge_n_ends_at_once(self, argv):
+        # theorem B rejects the n before the main term's k loop (up to
+        # sqrt(n)) or the O(n^2) exact table starts
+        _assert_one_error_line(_run_trank(argv, timeout=30))
 
     def test_asymptotic_command(self, tmp_path):
         out = tmp_path / "a.csv"
@@ -212,7 +229,7 @@ _VALUES = {
     "--trials": (["1", "2"], ["0", "-1"]),
     "--seed": (["0", "1", "10", "-3"], ["x"]),
     "--tol-scale": (["1", "1e-12"], ["0", "nan", "inf"]),
-    "--threads": (["1", "2"], ["0"]),
+    "--threads": (["1"], ["0", "2"]),
 }
 _COMMANDS = {
     "moments": ["--T", "--r", "--n-max", "--format"],

@@ -92,6 +92,10 @@ INVALID = [
     "spt-check --n-max 99999999999999999999",
     "scan --T 3 --r 2 --n 1..99999999999999999999",
     "compare --T 1 --r 2 --n 99999999999999999999",
+    # a table or range whose allocation (8 * 10^18 bytes) fails at once
+    "moments --T 1 --r 2 --n-max 1000000000000000000",
+    "spt-check --n-max 1000000000000000000",
+    "scan --T 3 --r 2 --n 1..1000000000000000000",
     # rejected by the argument parser: a missing required option, an
     # option the command does not have
     "moments --T 3 --r 2",

@@ -183,8 +183,8 @@ class TestCoefficientFamilies:
     def test_values(self):
         assert kappa(0, 0, 1) == (Fraction(1, 12), 0)
         assert kappa_h(0, 0, 0) == (Fraction(-1, 2), 0)
-        assert kappa(-1, 0, 1).is_zero
-        assert kappa_h(0, -2, 1).is_zero
+        assert kappa(-1, 0, 1).rational == 0
+        assert kappa_h(0, -2, 1).rational == 0
 
     def test_kappa_top_coefficient_is_bernoulli(self):
         for r in range(0, 13, 2):

@@ -326,11 +326,11 @@ def _rows_for(T, k, n):
     return rows, [(h, t) for h in hs for t in ts]
 
 
-def _bucket(T, t, counts, sums, j, l, k, n):
+def _bucket(T, t, counts, sums, j, l, k):
     """The (t, rhos[j], l) bucket of a `kloosterman_partials` entry as a
     `KloostermanValue`."""
     i = t + (T - 1) // 2 - (t > 0)
-    return KloostermanValue(k=k, n=n, value=complex(sums[i, j, l]), terms=int(counts[i, j]))
+    return KloostermanValue(k=k, value=complex(sums[i, j, l]), terms=int(counts[i, j]))
 
 
 class TestIntegerPhases:
@@ -408,7 +408,7 @@ class TestIntegerPhases:
                 for t in (x for x in rhos if x):
                     for j, rho in enumerate(rhos):
                         for l in range(kg):
-                            value = _bucket(T, t, counts, sums, j, l, k, n)
+                            value = _bucket(T, t, counts, sums, j, l, k)
                             assert value == oracle_partial(T, t, rho, l, k, n)
                             assert value == kloosterman_partial(T, t, rho, l, k, n)
 
@@ -461,7 +461,7 @@ class TestIntegerPhases:
         ((counts, sums),) = kloosterman_partials(T, [k], n, [0, 1])
         assert counts[:, 0].tolist() == [996] * 4 and not counts[:, 1].any()
         for t, l in ((-2, 0), (1, 500), (2, 996)):
-            assert _bucket(T, t, counts, sums, 0, l, k, n) == oracle_partial(T, t, 0, l, k, n)
+            assert _bucket(T, t, counts, sums, 0, l, k) == oracle_partial(T, t, 0, l, k, n)
         for k in (997, 20011, 87811):
             for t, l, h in ((11, k - 1, k - 1), (-7, 0, k // 2), (3, 123, 2), (-1, k // 2, 1)):
                 expect = u_h_star(23, t, l, h, k).to_complex()

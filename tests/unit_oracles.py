@@ -166,7 +166,7 @@ def kloosterman_partial(T: int, t: int, varrho: int, l: int, k: int, n: int) -> 
             continue
         acc += (ExactUnit(Fraction(-2 * n * h, k)) * u_h_star(T, t, l, h, k)).to_complex()
         terms += 1
-    return KloostermanValue(k=k, n=n, value=acc, terms=terms)
+    return KloostermanValue(k=k, value=acc, terms=terms)
 
 
 def base_phase(T: int, t: int, k: int, terms) -> tuple[float, int, int]:
