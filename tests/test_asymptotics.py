@@ -232,6 +232,12 @@ BREAKDOWN_SHA256 = {
     # Miller orders across groups (r = 6)
     (23, 2, 221): "30adfe29ea46d358255741095364549c2bfab03b80937ec488360645791fc762",
     (13, 6, 500): "14bed9f9be2d4fe7f3ce8e43f9fadec7dc2d207525b0acf713fd848bf1697e79",
+    # composite T, the only T with a gamma strictly between 1 and T (for
+    # T = 15, gamma = 3 has the groups varrho = +-5), recorded before the
+    # (k, varrho) groups were held in one table
+    (9, 2, 221): "b21ecc1810506a3e6de498b35acb53e6f88a80d2902efe40ea38f13bc02767ec",
+    (15, 4, 210): "c22c4c57b1fef042415ce86a2f862cca68291ded409705c9cd17be0e5e384465",
+    (21, 6, 200): "5634cb5cc7a995f5005151eea04816f2bb76dff3958a17808ae16b7d259eb17a",
 }
 
 
@@ -240,6 +246,14 @@ def test_breakdown_bytes(T, r, n):
     d = theorem_a_main(AsymptoticQuery(T=T, r=r, n=n)).as_dict()
     digest = hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()
     assert digest == BREAKDOWN_SHA256[(T, r, n)]
+
+
+def test_breakdown_bytes_past_sqrt_n():
+    # k_cap = 24 > sqrt(60): the k = 21 classes reach gamma = T = 21 as
+    # well as gamma = 1, 3 and 7; recorded with the composite-T pins above
+    d = theorem_a_main(AsymptoticQuery(T=21, r=4, n=60, k_cap=24)).as_dict()
+    digest = hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()
+    assert digest == "3730203c2e2cf23400a39f02cf755bbfa160fc5ba1c34c20695b2da18d273765"
 
 
 class TestTheoremB:
