@@ -14,7 +14,7 @@ The package has five layers:
 * `trank.asymptotics` — the assembled main-term formulas, their leading
   asymptotics, and exact-vs-asymptotic comparison reports.
 
-`trank.cli` exposes the same functionality as the `trank` command.
+`trank.cli` is the `trank` command, and the one module that shapes reports.
 """
 
 from .asymptotics import (

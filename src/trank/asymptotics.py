@@ -111,32 +111,12 @@ class TermBreakdown:
     def total(self) -> float:
         return self.mu_part + self.mordell_part
 
-    def as_dict(self) -> dict:
-        return {
-            "T": self.query.T,
-            "r": self.query.r,
-            "n": self.query.n,
-            "k_cap": self.query.cap,
-            "mu_part": self.mu_part,
-            "mordell_part": self.mordell_part,
-            "total": self.total,
-            "dropped_terms": self.dropped_terms,
-            "mu_contributions": {
-                ",".join(map(str, key)): [v.real, v.imag]
-                for key, v in sorted(self.mu_contributions.items())
-            },
-            "mordell_contributions": {
-                ",".join(map(str, key)): [v.real, v.imag]
-                for key, v in sorted(self.mordell_contributions.items())
-            },
-        }
-
 
 def _realize(value: complex, terms: dict, what: str) -> float:
     """The real part of `value`, the sum of `terms`, once it is checked to
     be finite and its imaginary part is checked against sum |term|: the
     scale on which each term's error is bounded, which the real part
-    itself may cancel far below."""
+    itself may cancel far below.  No terms sum to 0.0."""
     if not cmath.isfinite(value):
         raise ValueError(f"{what} is not finite: {value}")
     scale = sum(abs(term) for term in terms.values())
@@ -156,49 +136,28 @@ def theorem_a_main(query: AsymptoticQuery) -> TermBreakdown:
     multiples of gamma_co are summed, so T = 3 takes no Kloosterman partial
     sum and evaluates no Bessel integral.
 
-    The mu part evaluates each Bessel order once, for every k at once.
-    The Mordell part is assembled in three passes: the partial Kloosterman
-    sums of every k of a gamma from one `kloosterman_partials` call, whose
-    int64 array pass runs over blocks of at most 2^13 (t, h, l) values and
-    buckets each unit by t and varrho (k must keep 96 T^3 k^2 <= 2^53,
-    else `ValueError`); the Bessel integrals, in one quadrature pass per
-    (c, s = a + c) over the alphas of every (k, varrho) group, each alpha a
-    float that its row reaches by (group, index); then the terms, summed
-    in (gamma, k, t, varrho, l, a, b, c) order, with the powers of each
-    (k, varrho, a, b, c) computed once.
+    The Mordell part is assembled first, so a k_cap past its range (k must
+    keep 96 T^3 k^2 <= 2^53, else `ValueError`) or past memory ends the
+    call before any mu-part work.  It takes three passes: the partial
+    Kloosterman sums of every k of a gamma from one `kloosterman_partials`
+    call, whose int64 array pass runs over blocks of at most 2^13 (t, h, l)
+    values and buckets each unit by t and varrho; the Bessel integrals, in
+    one quadrature pass per (c, s = a + c) over the alphas of every
+    (k, varrho) group; then the terms, summed in (gamma, k, t, varrho, l,
+    a, b, c) order, with the powers of each (k, t, varrho, a, b, c)
+    computed once.  The mu part evaluates each Bessel order once, for
+    every k at once.
     """
     T, r, n = query.T, query.r, query.n
     out = TermBreakdown(query=query)
-    mu_acc = 0j
-    root = math.pi * math.sqrt(24.0 * n - 1.0) / 6.0
-    coefs = [(a, b, c, kappa(a, b, c).to_float()) for (a, b, c) in kappa_support(r)]
-    nonzero = [(k, kv) for k in range(1, query.cap + 1)
-               if (kv := kloosterman_sum(k, n).value) != 0]
-    # I_order(root / k) for every k of `nonzero`, one call per order on a
-    # (k x 1) array: each row is its own call, with its own Miller depth.
-    args = root / np.array([[k] for k, _ in nonzero], dtype=float)
-    bessels = {}
-    for order in dict.fromkeys(Fraction(-3 + 2 * a + 4 * c, 2) for a, _, c, _ in coefs):
-        bessels[order] = bessel_i(order, args).ravel().tolist()
-    for i, (k, kv) in enumerate(nonzero):
-        for a, b, c, coef in coefs:
-            term = (2.0 * math.pi * kv / k
-                    * coef * (k * T) ** a
-                    * (24.0 * n - 1.0) ** (-0.75 + a / 2.0 + c)
-                    * bessels[Fraction(-3 + 2 * a + 4 * c, 2)][i])
-            mu_acc += term
-            out.mu_contributions[(k, a, b, c)] = term
-    out.mu_part = _realize(mu_acc, out.mu_contributions, "mu part")
-
     abc = kappa_h_support(r)
     half = (T - 1) // 2
     ts = [t for t in range(-half, half + 1) if t]
-    rows = []  # (gamma, t, varrho, k, l, index into the (k, varrho) group, partial sum)
-    alphas: dict = {}  # (k, varrho) -> the float alphas of that group, one per (t, l)
-    betas: dict = {}  # gamma -> {varrho: gate}
+    table = {}  # (k, varrho) -> (gamma, float gate, the alphas of its (t, l) in order)
+    buckets = []  # (k, t, varrho, index of its l = 0 alpha, partial sums over l)
     for gamma in (d for d in range(1, T + 1) if T % d == 0):
-        betas[gamma] = {rho: positivity_gate(T, gamma, rho) for rho in range(-half, half + 1)}
-        gated = [rho for rho, beta in betas[gamma].items() if beta > 0]
+        gates = {rho: positivity_gate(T, gamma, rho) for rho in range(-half, half + 1)}
+        gated = [rho for rho, gate in gates.items() if gate > 0]
         ks = [k for k in range(1, query.cap + 1) if gcd(T, k) == gamma]
         out.dropped_terms += (T - 1) * (T - len(gated)) * sum(k // gamma for k in ks) * len(abc)
         # rho_T(t gamma_co h) is a multiple of gamma_co = T / gamma
@@ -211,42 +170,58 @@ def theorem_a_main(query: AsymptoticQuery) -> TermBreakdown:
                 for rho, count, values in zip(reachable, t_counts, t_sums):
                     if not count:
                         continue
-                    group = alphas.setdefault((k, rho), [])
-                    for l, value in enumerate(values):
-                        rows.append((gamma, t, rho, k, l, len(group), value))
-                        # float(alpha_shift(T, t, l, K)): int / int is correctly rounded
-                        group.append((-2 * t + (2 * l - K + 1) * T) / (2 * T * K))
+                    alphas = table.setdefault((k, rho), (gamma, float(gates[rho]), []))[2]
+                    buckets.append((k, t, rho, len(alphas), values))
+                    # float(alpha_shift(T, t, l, K)): int / int is correctly rounded
+                    alphas += [(-2 * t + (2 * l - K + 1) * T) / (2 * T * K)
+                               for l in range(len(values))]
 
-    # per (c, s = a + c): the values of every (k, varrho) group, one list
-    # per group with one value per alpha, from one quadrature pass
-    groups = [(k, float(betas[gcd(T, k)][rho]), rho, group)
-              for (k, rho), group in alphas.items()]
-    integrals = {(c, s): bessel_integrals(T, n, c, s, groups)
+    # per (c, s = a + c) and (k, varrho): one value per alpha of the group,
+    # every group from one quadrature pass
+    groups = [(k, gate, rho, alphas) for (k, rho), (_, gate, alphas) in table.items()]
+    integrals = {(c, s): dict(zip(table, bessel_integrals(T, n, c, s, groups)))
                  for c, s in dict.fromkeys((c, a + c) for (a, _, c) in abc)}
-    weights = {key: kappa_h(*key).to_float() for key in abc}
-    factors = {}  # (k, varrho) -> per (a, b, c): its weight, powers and integrals
-    for j, (k, beta, rho, _) in enumerate(groups):
-        gamma = gcd(T, k)
-        factors[(k, rho)] = [
-            ((a, b, c), weights[(a, b, c)],
-             float(k * T) ** (a - 0.5),
-             gamma ** (c + 0.5),
-             (2.0 * n - 1.0 / 12.0) ** ((a + c) / 2.0 - 0.25),
-             beta ** (0.75 - (a + c) / 2.0),
-             integrals[(c, a + c)][j])
-            for (a, b, c) in abc]
-
+    weights = [kappa_h(*key).to_float() for key in abc]
     h_acc = 0j
-    for gamma, t, rho, k, l, i, kv in rows:
-        lead = 2.0 * math.pi * kv / k
-        for (a, b, c), weight, kt_pow, gamma_pow, n_pow, beta_pow, values in factors[(k, rho)]:
-            term = lead * weight * kt_pow * gamma_pow * n_pow * beta_pow * values[i]
-            h_acc += term
-            out.mordell_contributions[(gamma, t, rho, k, l, a, b, c)] = term
-    out.mordell_part = (_realize(h_acc, out.mordell_contributions, "mordell part")
-                        if out.mordell_contributions else 0.0)
+    for k, t, rho, first, values in buckets:
+        gamma, gate, _ = table[(k, rho)]
+        factors = [(a, b, c, weight,
+                    float(k * T) ** (a - 0.5),
+                    gamma ** (c + 0.5),
+                    (2.0 * n - 1.0 / 12.0) ** ((a + c) / 2.0 - 0.25),
+                    gate ** (0.75 - (a + c) / 2.0),
+                    integrals[(c, a + c)][(k, rho)])
+                   for (a, b, c), weight in zip(abc, weights)]
+        for l, kv in enumerate(values):
+            lead = 2.0 * math.pi * kv / k
+            for a, b, c, weight, kt_pow, gamma_pow, n_pow, beta_pow, ints in factors:
+                term = lead * weight * kt_pow * gamma_pow * n_pow * beta_pow * ints[first + l]
+                h_acc += term
+                out.mordell_contributions[(gamma, t, rho, k, l, a, b, c)] = term
+    out.mordell_part = _realize(h_acc, out.mordell_contributions, "mordell part")
     if T <= 3:
         assert out.mordell_part == 0.0 and not out.mordell_contributions
+
+    mu_acc = 0j
+    root = math.pi * math.sqrt(24.0 * n - 1.0) / 6.0
+    coefs = [(a, b, c, Fraction(-3 + 2 * a + 4 * c, 2), kappa(a, b, c).to_float())
+             for (a, b, c) in kappa_support(r)]
+    nonzero = [(k, kv) for k in range(1, query.cap + 1)
+               if (kv := kloosterman_sum(k, n).value) != 0]
+    # I_order(root / k) for every k of `nonzero`, one call per order on a
+    # (k x 1) array: each row is its own call, with its own Miller depth.
+    args = root / np.array([[k] for k, _ in nonzero], dtype=float)
+    bessels = {order: bessel_i(order, args).ravel().tolist()
+               for order in dict.fromkeys(order for *_, order, _ in coefs)}
+    for i, (k, kv) in enumerate(nonzero):
+        for a, b, c, order, coef in coefs:
+            term = (2.0 * math.pi * kv / k
+                    * coef * (k * T) ** a
+                    * (24.0 * n - 1.0) ** (-0.75 + a / 2.0 + c)
+                    * bessels[order][i])
+            mu_acc += term
+            out.mu_contributions[(k, a, b, c)] = term
+    out.mu_part = _realize(mu_acc, out.mu_contributions, "mu part")
     return out
 
 
@@ -385,16 +360,6 @@ class ScanReport:
     n_hi: int
     violations: tuple
     n0: int
-
-    def as_dict(self) -> dict:
-        return {
-            "T": self.T,
-            "r": self.r,
-            "n_lo": self.n_lo,
-            "n_hi": self.n_hi,
-            "violations": list(self.violations),
-            "n0": self.n0,
-        }
 
 
 def garvan_scan(T: int, r: int, n_lo: int, n_hi: int) -> ScanReport:

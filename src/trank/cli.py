@@ -2,11 +2,12 @@
 
 Subcommands: `moments` (exact tables), `asymptotic` (main-term values),
 `compare` (exact vs main terms), `verify` (transformation-law suites),
-`scan` (exact moment-inequality scan), `spt-check` (the smallest-parts
-identity).  Data goes to --out or stdout as CSV or JSON, written here
-only: the library returns data and never writes files.  Progress and
-diagnostics go to stderr only.  Runs are deterministic: the same config
-and seed produce byte-identical reports.
+`scan` (exact moment-inequality scan over a contiguous `lo..hi`),
+`spt-check` (the smallest-parts identity).  Data goes to --out or stdout
+as CSV or JSON, shaped and written here only: the library returns
+dataclasses and never builds a report's JSON object or writes a file.
+Progress and diagnostics go to stderr only.  Runs are deterministic: the
+same config and seed produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -14,9 +15,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import functools
 import io
 import json
+import math
 import os
 import sys
 
@@ -45,6 +48,17 @@ def parse_n_values(text: str) -> list[int]:
     return values
 
 
+def n_range(text: str) -> tuple[int, int]:
+    """An argparse type: a contiguous range `lo..hi`, as (lo, hi)."""
+    lo, sep, hi = text.partition("..")
+    try:
+        if sep:
+            return int(lo), int(hi)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected lo..hi, got {text!r}")
+
+
 def positive_int(text: str) -> int:
     """An argparse type: an int >= 1."""
     value = int(text)
@@ -54,10 +68,10 @@ def positive_int(text: str) -> int:
 
 
 def positive_float(text: str) -> float:
-    """An argparse type: a float > 0 (NaN is rejected)."""
+    """An argparse type: a finite float > 0 (NaN and inf are rejected)."""
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
     return value
 
 
@@ -100,15 +114,27 @@ def _json_text(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=1) + "\n"
 
 
+def breakdown_dict(breakdown: asymptotics.TermBreakdown) -> dict:
+    """The JSON object of one main-term breakdown: each contribution is
+    keyed by its comma-joined index tuple and given as [real, imag]."""
+    query = breakdown.query
+    return {"T": query.T, "r": query.r, "n": query.n, "k_cap": query.cap,
+            "mu_part": breakdown.mu_part, "mordell_part": breakdown.mordell_part,
+            "total": breakdown.total, "dropped_terms": breakdown.dropped_terms,
+            **{name: {",".join(map(str, key)): [v.real, v.imag]
+                      for key, v in getattr(breakdown, name).items()}
+               for name in ("mu_contributions", "mordell_contributions")}}
+
+
 def _run_moments(args: argparse.Namespace) -> int:
     with _fits_in_memory("--n-max", args.n_max):
         table = qseries.moment_table(args.T, args.r, args.n_max)
     if args.fmt == "csv":
-        text = _csv_text(["T", "r", "n", "value"], list(table.rows()))
+        text = _csv_text(["T", "r", "n", "value"],
+                         [(args.T, args.r, n, v) for n, v in enumerate(table.values)])
     else:
-        text = _json_text([
-            {"T": T, "r": r, "n": n, "value": str(v)} for T, r, n, v in table.rows()
-        ])
+        text = _json_text([{"T": args.T, "r": args.r, "n": n, "value": str(v)}
+                           for n, v in enumerate(table.values)])
     _emit(text, _resolve_out(args, f"moments_T{args.T}_r{args.r}.{args.fmt}"))
     return 0
 
@@ -121,13 +147,14 @@ def _run_asymptotic(args: argparse.Namespace) -> int:
     rows = []
     payload = []
     for query, leading in zip(queries, leadings):
-        breakdown = asymptotics.theorem_a_main(query)
+        with _fits_in_memory("--k-cap", query.cap):
+            breakdown = asymptotics.theorem_a_main(query)
         if args.fmt == "csv":
             rows.append([args.T, args.r, query.n, f"{breakdown.mu_part:.17g}",
                          f"{breakdown.mordell_part:.17g}", f"{breakdown.total:.17g}",
                          f"{leading:.17g}"])
         else:  # the per-term dict is formatted only for the JSON report
-            entry = breakdown.as_dict()
+            entry = breakdown_dict(breakdown)
             entry["thmB_leading"] = leading
             payload.append(entry)
         print(f"n={query.n} done", file=sys.stderr)
@@ -170,7 +197,7 @@ def _run_verify(args: argparse.Namespace) -> int:
         tol = mockforms.TOLERANCES[case] * args.tol_scale
         report = mockforms.verify_transformation(
             case, trials=args.trials, tolerance=tol, seed=args.seed)
-        reports.append(report.as_dict())
+        reports.append(dict(dataclasses.asdict(report), passed=report.passed))
         failed = failed or not report.passed
         print(f"{case}: max_rel_err={report.max_rel_err:.3e} "
               f"{'ok' if report.passed else 'FAILED'}", file=sys.stderr)
@@ -180,10 +207,10 @@ def _run_verify(args: argparse.Namespace) -> int:
 
 
 def _run_scan(args: argparse.Namespace) -> int:
-    n_lo, n_hi = min(args.n), max(args.n)
+    n_lo, n_hi = args.n_range
     with _fits_in_memory("--n", n_hi):
         report = asymptotics.garvan_scan(args.T, args.r, n_lo, n_hi)
-    text = _json_text(report.as_dict()) if args.fmt == "json" else _csv_text(
+    text = _json_text(dataclasses.asdict(report)) if args.fmt == "json" else _csv_text(
         ["T", "r", "n_lo", "n_hi", "n0", "violations"],
         [[report.T, report.r, report.n_lo, report.n_hi, report.n0,
           ";".join(map(str, report.violations))]])
@@ -278,7 +305,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="exact m_(T-2)^r > m_T^r scan")
     common(p)
-    p.add_argument("--n", default="1..1500", help="range lo..hi[:step]")
+    p.add_argument("--n", dest="n_range", type=n_range, default="1..1500",
+                   metavar="LO..HI", help="contiguous range lo..hi")
 
     p = sub.add_parser("spt-check", help="2 spt(n) = m_1^2(n) - m_3^2(n)")
     common(p, needs_T=False)
@@ -291,8 +319,9 @@ def main(argv=None) -> int:
     """Parse and dispatch one command; returns the process exit code.
 
     Invalid input, whether the parser or the library rejects it, an n
-    too large for a table, and an output path that cannot be written end
-    with exit status 2 and one `error:` line on stderr.
+    too large for a table, a k_cap that the Mordell part cannot take and
+    an output path that cannot be written end with exit status 2 and one
+    `error:` line on stderr.
     """
     try:
         args = _build_parser().parse_args(argv)

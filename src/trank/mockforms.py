@@ -284,17 +284,6 @@ class VerificationReport:
     def passed(self) -> bool:
         return not self.failures
 
-    def as_dict(self) -> dict:
-        return {
-            "case": self.case,
-            "trials": self.trials,
-            "tolerance": self.tolerance,
-            "seed": self.seed,
-            "max_rel_err": self.max_rel_err,
-            "passed": self.passed,
-            "failures": self.failures,
-        }
-
 
 def _rel_err(lhs: complex, rhs: complex) -> float:
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)

@@ -188,10 +188,6 @@ class MomentTable:
     def __getitem__(self, n: int) -> int:
         return self.values[n]
 
-    def rows(self):
-        for n, v in enumerate(self.values):
-            yield (self.T, self.r, n, v)
-
 
 def moment_table(T: int, r: int, n_max: int) -> MomentTable:
     """m_T^r(n) for n <= n_max without materializing the full rank table.

@@ -21,6 +21,7 @@ from trank.asymptotics import (
     theorem_b_difference_leading,
     theorem_b_leading,
 )
+from trank.cli import breakdown_dict
 from trank.errors import TruncationError
 from trank.qseries import moment_table
 from trank.specfun import kappa_support
@@ -145,7 +146,7 @@ class TestTheoremA:
     def test_breakdown_total_and_dict(self):
         b = theorem_a_main(AsymptoticQuery(T=5, r=2, n=60))
         assert b.total == b.mu_part + b.mordell_part
-        d = b.as_dict()
+        d = breakdown_dict(b)
         assert d["T"] == 5 and d["mordell_part"] == b.mordell_part
         assert d["dropped_terms"] == b.dropped_terms > 0
 
@@ -208,7 +209,7 @@ class TestTheoremA:
         assert theorem_a_main(query).mu_contributions == together
 
 
-# SHA-256 of json.dumps(theorem_a_main(query).as_dict(), sort_keys=True):
+# SHA-256 of json.dumps(breakdown_dict(theorem_a_main(query)), sort_keys=True):
 # every field, each contribution included, must stay bit-identical.  T = 3
 # is the case where every bucket of the Mordell part is empty.  All ten
 # were re-recorded when K_k(n) became Rademacher's A_k(n) (h' = [-h]_k)
@@ -243,7 +244,7 @@ BREAKDOWN_SHA256 = {
 
 @pytest.mark.parametrize("T,r,n", sorted(BREAKDOWN_SHA256))
 def test_breakdown_bytes(T, r, n):
-    d = theorem_a_main(AsymptoticQuery(T=T, r=r, n=n)).as_dict()
+    d = breakdown_dict(theorem_a_main(AsymptoticQuery(T=T, r=r, n=n)))
     digest = hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()
     assert digest == BREAKDOWN_SHA256[(T, r, n)]
 
@@ -251,7 +252,7 @@ def test_breakdown_bytes(T, r, n):
 def test_breakdown_bytes_past_sqrt_n():
     # k_cap = 24 > sqrt(60): the k = 21 classes reach gamma = T = 21 as
     # well as gamma = 1, 3 and 7; recorded with the composite-T pins above
-    d = theorem_a_main(AsymptoticQuery(T=21, r=4, n=60, k_cap=24)).as_dict()
+    d = breakdown_dict(theorem_a_main(AsymptoticQuery(T=21, r=4, n=60, k_cap=24)))
     digest = hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()
     assert digest == "3730203c2e2cf23400a39f02cf755bbfa160fc5ba1c34c20695b2da18d273765"
 

@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import io
 import json
 import math
@@ -6,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import tomllib
 
 import pytest
 from hypothesis import given, settings
@@ -108,6 +110,18 @@ def _assert_one_error_line(proc: subprocess.CompletedProcess) -> None:
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
 
 
+def test_console_script_help(monkeypatch, capsys):
+    # the `trank` entry point of pyproject.toml, run as its console script
+    # runs it: no arguments, sys.argv holding the command line
+    pyproject = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
+    with open(pyproject, "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["trank"]
+    module, _, name = target.partition(":")
+    monkeypatch.setattr(sys, "argv", ["trank", "--help"])
+    assert getattr(importlib.import_module(module), name)() == 0
+    assert "moments" in capsys.readouterr().out
+
+
 class TestCompareScanSpt:
     def test_compare_csv(self, tmp_path):
         out = tmp_path / "c.csv"
@@ -167,6 +181,15 @@ class TestCompareScanSpt:
         # theorem B rejects the n before the main term's k loop (up to
         # sqrt(n)) or the O(n^2) exact table starts
         _assert_one_error_line(_run_trank(argv, timeout=30))
+
+    @pytest.mark.parametrize("k_cap", [100000, 87814])
+    def test_k_cap_past_the_mordell_part_ends_at_once(self, k_cap):
+        # 100000 is past the int64 range of the partial Kloosterman sums
+        # (96 T^3 k^2 <= 2^53); 87814 is in range, but its partial sums
+        # need a 1.18 TiB array, whose allocation fails at once.  The
+        # Mordell part comes first, so both end before the mu part's k loop
+        _assert_one_error_line(
+            _run_trank(f"asymptotic --T 23 --r 2 --n 5 --k-cap {k_cap}", timeout=30))
 
     def test_asymptotic_command(self, tmp_path):
         out = tmp_path / "a.csv"

@@ -85,6 +85,9 @@ INVALID = [
     "moments --T 2 --r 2 --n-max 5",
     "scan --T 5 --r 3",
     "scan --T 5 --r 2 --n 0..10",
+    # scan takes a contiguous lo..hi only, not a step or a list
+    "scan --T 5 --r 2 --n 1..100:10",
+    "scan --T 5 --r 2 --n 50,7,20",
     "scan --T 1 --r 2",
     "spt-check --n-max 0",
     # an n too large for a table or range to hold
@@ -106,6 +109,7 @@ INVALID = [
     "verify --threads 0",
     "verify --tol-scale 0",
     "verify --tol-scale nan",
+    "verify --tol-scale inf",
     "verify --case bogus",
     "verify --format csv",
     "nope",

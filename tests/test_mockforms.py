@@ -296,7 +296,7 @@ class TestVerifySuites:
     def test_deterministic_reports(self):
         a = verify_transformation("eta", trials=6, tolerance=1e-8, seed=11)
         b = verify_transformation("eta", trials=6, tolerance=1e-8, seed=11)
-        assert a.as_dict() == b.as_dict()
+        assert a == b
 
     def test_at_decomposition_catches_a_wrong_prefactor(self, monkeypatch):
         # e^(2 pi i T u) for e^(pi i T u) multiplies both sides of the level
