@@ -50,13 +50,11 @@ def parse_n_values(text: str) -> list[int]:
 
 def n_range(text: str) -> tuple[int, int]:
     """An argparse type: a contiguous range `lo..hi`, as (lo, hi)."""
-    lo, sep, hi = text.partition("..")
     try:
-        if sep:
-            return int(lo), int(hi)
+        lo, hi = text.split("..")
+        return int(lo), int(hi)
     except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected lo..hi, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected lo..hi, got {text!r}") from None
 
 
 def positive_int(text: str) -> int:
