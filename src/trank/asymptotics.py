@@ -66,8 +66,10 @@ class AsymptoticQuery:
     def __post_init__(self):
         if self.T < 1 or self.T % 2 == 0 or self.T >= 24:
             raise ValueError("T must be an odd integer with 1 <= T < 24")
-        if self.r < 2 or self.r % 2 == 1:
-            raise ValueError("r must be an even integer >= 2")
+        # the top Bessel orders, (2r - 3)/2 in the mu part and r - 3/2 in
+        # the Mordell part, stay inside bessel_i's band up to r = 26
+        if self.r < 2 or self.r % 2 == 1 or self.r > 26:
+            raise ValueError("r must be an even integer with 2 <= r <= 26")
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if self.k_cap is not None and self.k_cap < 1:
@@ -245,11 +247,16 @@ def theorem_b_leading(T: int, r: int, n: int) -> float:
 
 
 def theorem_b_difference_leading(T: int, r: int, n: int) -> float:
-    """Leading term of m_(T-2)^r(n) - m_T^r(n); positive for all even r."""
+    """Leading term of m_(T-2)^r(n) - m_T^r(n), positive for all even r:
+    (sqrt(3)/pi) r(r-1) (-1)^(r/2+1) B_(r-2)(1/2) (24n)^(r/2 - 3/2) e^(pi sqrt(2n/3)).
+
+    At T = 3, r = 2 the difference is 2 spt(n) (Andrews), and this is
+    e^(pi sqrt(2n/3)) / (pi sqrt(2n)), Bringmann's 2 sqrt(6n) p(n) / pi.
+    """
     AsymptoticQuery(T=T, r=r, n=n)
     sign = (-1) ** (r // 2 + 1)
-    return _theorem_b_value(math.sqrt(3.0) * r * (r - 1) * sign, bernoulli_half(r - 2),
-                            r / 2.0 - 1.5, n)
+    return _theorem_b_value(math.sqrt(3.0) / math.pi * r * (r - 1) * sign,
+                            bernoulli_half(r - 2), r / 2.0 - 1.5, n)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from trank.asymptotics import (
 )
 from trank.cli import breakdown_dict
 from trank.errors import TruncationError
-from trank.qseries import moment_table
+from trank.qseries import moment_table, spt_series
 from trank.specfun import kappa_support
 
 from helpers import spt_oracle
@@ -39,6 +39,10 @@ class TestQueryValidation:
             AsymptoticQuery(T=5, r=3, n=10)
         with pytest.raises(ValueError):
             AsymptoticQuery(T=5, r=2, n=10, k_cap=0)
+        # the top Bessel orders leave bessel_i's band from r = 28 on
+        assert AsymptoticQuery(T=23, r=26, n=10).r == 26
+        with pytest.raises(ValueError, match="2 <= r <= 26"):
+            AsymptoticQuery(T=23, r=28, n=10)
         assert AsymptoticQuery(T=5, r=2, n=170).cap == 13
         assert AsymptoticQuery(T=5, r=2, n=170, k_cap=1).cap == 1
 
@@ -278,19 +282,48 @@ class TestTheoremB:
             assert theorem_b_difference_leading(5, r, 300) > 0
 
     def test_difference_r2_value(self):
-        # r = 2 uses B_0(1/2) = 1
+        # r = 2 uses B_0(1/2) = 1: e^(pi sqrt(2n/3)) / (pi sqrt(2n)), the
+        # leading term of 2 spt(n) = 2 sqrt(6n) p(n) / pi (Bringmann)
         n = 200
-        expect = 2 * math.sqrt(3) * (24 * n) ** -0.5 * math.exp(
-            math.pi * math.sqrt(2 * n / 3))
+        expect = math.exp(math.pi * math.sqrt(2 * n / 3)) / (math.pi * math.sqrt(2 * n))
         assert abs(theorem_b_difference_leading(3, 2, n) - expect) < 1e-9 * expect
+
+    # sqrt(n) (1 - exact / theorem_b_difference_leading) at n = 2000, from
+    # the exact tables m_(T-2)^r(n) - m_T^r(n): the next term of the
+    # expansion is about c / sqrt(n) times the leading one.  Over n = 500,
+    # 1000 and 2000 each stays within 0.02 of its value here; a leading
+    # term off by a constant factor puts it out by sqrt(n) times that.
+    DIFFERENCE_GAPS = {
+        (3, 2): 0.0529, (5, 2): 0.0529, (7, 2): 0.0529, (9, 2): 0.0529, (11, 2): 0.0529,
+        (3, 4): 1.2211, (5, 4): 1.9999, (7, 4): 2.7786, (9, 4): 3.5574, (11, 4): 4.3362,
+    }
+
+    @staticmethod
+    def _difference_gaps(T, r, exact):
+        return [(n, math.sqrt(n) * (1 - exact(n) / theorem_b_difference_leading(T, r, n)))
+                for n in (500, 1000, 2000)]
+
+    @pytest.mark.parametrize("T, r", sorted(DIFFERENCE_GAPS))
+    def test_difference_against_exact_tables(self, T, r):
+        lower, upper = moment_table(T - 2, r, 2000), moment_table(T, r, 2000)
+        for n, gap in self._difference_gaps(T, r, lambda n: lower[n] - upper[n]):
+            assert abs(gap - self.DIFFERENCE_GAPS[T, r]) < 0.02, (n, gap)
+
+    def test_difference_at_T3_is_twice_spt(self):
+        # m_1^2(n) - m_3^2(n) = 2 spt(n) (Andrews), from the spt series
+        spt = spt_series(2000)
+        for n, gap in self._difference_gaps(3, 2, lambda n: 2 * spt[n]):
+            assert abs(gap - self.DIFFERENCE_GAPS[3, 2]) < 0.02, (n, gap)
 
     @pytest.mark.parametrize("r, n", [(2, 76600), (8, 71000), (300, 10)])
     def test_past_double_range_raises(self, r, n):
-        # e^(pi sqrt(2n/3)) itself overflows at n = 76600; at r = 8 the
-        # power (24n)^(r/2 - 1) carries the product past range first, and
-        # at r = 300 the Bernoulli value B_r(1/2) as a float
+        # e^(pi sqrt(2n/3)) itself overflows at n = 76600, and at r = 8 the
+        # power (24n)^(r/2 - 1) carries the product past range first.  The
+        # float B_r(1/2) would overflow at r = 300, but an r past 26 is
+        # refused before any Bernoulli value is computed
+        message = "overflows double range" if r <= 26 else "2 <= r <= 26"
         for leading in (theorem_b_leading, theorem_b_difference_leading):
-            with pytest.raises(ValueError, match="overflows double range"):
+            with pytest.raises(ValueError, match=message):
                 leading(5, r, n)
 
 

@@ -80,6 +80,10 @@ INVALID = [
     # itself, and the product with (24n)^(r/2 - 1)
     "asymptotic --T 1 --r 2 --n 76600",
     "asymptotic --T 1 --r 4 --n 73980",
+    # an r whose top Bessel order leaves bessel_i's band, refused before
+    # the partial-sum pass or B_r(1/2) is computed
+    "asymptotic --T 23 --r 28 --n 400",
+    "asymptotic --T 5 --r 1000 --n 50",
     "compare --T 3 --r 3 --n 50",
     "moments --T 3 --r 2 --n-max -5",
     "moments --T 2 --r 2 --n-max 5",
