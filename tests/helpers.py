@@ -50,6 +50,18 @@ def partition_count(n: int) -> int:
     return sum(1 for _ in partitions(n))
 
 
+def partition_counts_with_parts(n_max: int, allowed) -> list[int]:
+    """The number of partitions of n into parts for which `allowed(part)`
+    holds, for n = 0..n_max, by the coin-change recurrence: one pass per
+    allowed part size, shared with nothing in the series engine."""
+    counts = [1] + [0] * n_max
+    for part in range(1, n_max + 1):
+        if allowed(part):
+            for n in range(part, n_max + 1):
+                counts[n] += counts[n - part]
+    return counts
+
+
 def rank_counts(n: int) -> dict[int, int]:
     """Dyson rank (largest part minus number of parts) counts for n >= 1."""
     counts: dict[int, int] = {}

@@ -16,6 +16,7 @@ from trank.qseries import (
 
 from helpers import (
     partition_count,
+    partition_counts_with_parts,
     rank_counts,
     schoolbook_product,
     spt_oracle,
@@ -122,6 +123,22 @@ class TestRankCountTable:
             table = rank_count_table(T, 40)
             for n in range(1, 41):
                 assert table.row_sum(n) == partition_number(n), (T, n)
+
+    @pytest.mark.parametrize("T", range(1, 24, 2))
+    def test_row_sums_andrews_gordon(self, T):
+        # sum_m N_T(m, n) = p(n) minus the number of partitions of n into
+        # parts not congruent to 0 or +-(T-1)/2 mod T (Garvan's T-rank and
+        # the Andrews-Gordon identities); at T = 5 the subtracted count is
+        # the Rogers-Ramanujan one, at T = 1 and 3 it is 0 for n >= 1
+        n_max = 400
+        excluded = {0, (T - 1) // 2 % T, -((T - 1) // 2) % T}
+        p = partition_counts_with_parts(n_max, lambda part: True)
+        gordon = partition_counts_with_parts(n_max, lambda part: part % T not in excluded)
+        sums = moment_table(T, 0, n_max)
+        assert [sums[n] for n in range(1, n_max + 1)] == [
+            p[n] - gordon[n] for n in range(1, n_max + 1)]
+        if T == 5:
+            assert (sums[30], p[30], gordon[30]) == (5487, 5604, 117)
 
     def test_table_moment_is_zero_for_odd_r(self):
         table = rank_count_table(7, 30)
