@@ -15,97 +15,50 @@ The package has five layers:
   asymptotics, and exact-vs-asymptotic comparison reports.
 
 `trank.cli` is the `trank` command, and the one module that shapes reports.
+
+Each public name below is imported from its layer on first access, so
+`import trank` loads no layer, and the exact side (`trank.qseries`) never
+loads numpy: only `units`, `specfun` and the layers above them do.
 """
 
-from .asymptotics import (
-    AsymptoticQuery,
-    CuspExpansionReport,
-    ScanReport,
-    TermBreakdown,
-    comparison_rows,
-    garvan_scan,
-    prop56_expansion_check,
-    theorem_a_main,
-    theorem_b_difference_leading,
-    theorem_b_leading,
-)
-from .errors import ConvergenceError, TruncationError
-from .mockforms import (
-    EvaluationPoint,
-    TOLERANCES,
-    VERIFICATION_CASES,
-    VerificationReport,
-    c_kernel,
-    verify_transformation,
-)
-from .qseries import (
-    MomentTable,
-    RankCountTable,
-    moment_generating_eval,
-    moment_table,
-    partition_number,
-    partition_series,
-    rank_count_table,
-)
-from .specfun import (
-    bernoulli_half,
-    bessel_i,
-    bessel_integral,
-    kappa,
-    kappa_h,
-    mordell_h,
-    script_h,
-)
-from .units import (
-    KloostermanValue,
-    alpha_shift,
-    chi_multiplier,
-    kloosterman_partial,
-    kloosterman_sum,
-    neg_inverse,
-    rho_residue,
-)
+import importlib
 
-__all__ = [
-    "AsymptoticQuery",
-    "ConvergenceError",
-    "CuspExpansionReport",
-    "EvaluationPoint",
-    "KloostermanValue",
-    "MomentTable",
-    "RankCountTable",
-    "ScanReport",
-    "TermBreakdown",
-    "TOLERANCES",
-    "TruncationError",
-    "VERIFICATION_CASES",
-    "VerificationReport",
-    "alpha_shift",
-    "bernoulli_half",
-    "bessel_i",
-    "bessel_integral",
-    "c_kernel",
-    "chi_multiplier",
-    "comparison_rows",
-    "garvan_scan",
-    "kappa",
-    "kappa_h",
-    "kloosterman_partial",
-    "kloosterman_sum",
-    "moment_generating_eval",
-    "moment_table",
-    "mordell_h",
-    "neg_inverse",
-    "partition_number",
-    "partition_series",
-    "prop56_expansion_check",
-    "rank_count_table",
-    "rho_residue",
-    "script_h",
-    "theorem_a_main",
-    "theorem_b_difference_leading",
-    "theorem_b_leading",
-    "verify_transformation",
-]
+# the layer that defines each public name
+_EXPORTS = {
+    "asymptotics": (
+        "AsymptoticQuery", "CuspExpansionReport", "ScanReport", "TermBreakdown",
+        "comparison_rows", "garvan_scan", "prop56_expansion_check", "theorem_a_main",
+        "theorem_b_difference_leading", "theorem_b_leading",
+    ),
+    "errors": ("ConvergenceError", "TruncationError"),
+    "mockforms": (
+        "EvaluationPoint", "TOLERANCES", "VERIFICATION_CASES", "VerificationReport",
+        "c_kernel", "verify_transformation",
+    ),
+    "qseries": (
+        "MomentTable", "RankCountTable", "moment_generating_eval", "moment_table",
+        "partition_number", "partition_series", "rank_count_table",
+    ),
+    "specfun": (
+        "bernoulli_half", "bessel_i", "bessel_integral", "kappa", "kappa_h",
+        "mordell_h", "script_h",
+    ),
+    "units": (
+        "KloostermanValue", "alpha_shift", "chi_multiplier", "kloosterman_partial",
+        "kloosterman_sum", "neg_inverse", "rho_residue",
+    ),
+}
+_LAYER = {name: layer for layer, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_LAYER)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    layer = _LAYER.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{layer}"), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value

@@ -1,9 +1,6 @@
 import cmath
 import math
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 
@@ -270,17 +267,6 @@ class TestVerifySuites:
             mockforms._TRIALS[case](rng)
         report = verify_transformation(case, trials=trial + 1, tolerance=1e-8, seed=seed)
         assert report.passed
-
-    def test_import_leaves_mpmath_unloaded(self):
-        # only the cancelling prop_4_2 trials load mpmath, on first use
-        code = "import sys, trank, trank.cli; print('mpmath' in sys.modules)"
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, check=True, env=env).stdout
-        assert out.strip() == "False"
 
     def test_unknown_case(self):
         with pytest.raises(ValueError):
