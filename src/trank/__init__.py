@@ -18,7 +18,9 @@ The package has five layers:
 
 Each public name below is imported from its layer on first access, so
 `import trank` loads no layer, and the exact side (`trank.qseries`) never
-loads numpy: only `units`, `specfun` and the layers above them do.
+loads numpy: only `units`, `specfun` and the layers above them do.  A
+layer becomes an attribute of `trank` once it is imported, by name
+(`import trank.asymptotics`) or through one of its public names.
 """
 
 import importlib
@@ -62,3 +64,7 @@ def __getattr__(name):
     value = getattr(importlib.import_module(f"{__name__}.{layer}"), name)
     globals()[name] = value  # later lookups skip this hook
     return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

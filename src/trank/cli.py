@@ -8,10 +8,6 @@ as CSV or JSON, shaped and written here only: the library returns
 dataclasses and never builds a report's JSON object or writes a file.
 Progress and diagnostics go to stderr only.  Runs are deterministic: the
 same config and seed produce byte-identical reports.
-
-Only the exact engine is imported here: `moments` and `spt-check` never
-load numpy, and the commands on the analytic side import their layer
-when they run.
 """
 
 from __future__ import annotations
@@ -26,12 +22,8 @@ import json
 import math
 import os
 import sys
-from typing import TYPE_CHECKING
 
-from . import qseries
-
-if TYPE_CHECKING:
-    from . import asymptotics
+from . import asymptotics, mockforms, qseries
 
 OUTPUT_DIR_ENV = "TRANK_OUT_DIR"
 
@@ -146,7 +138,6 @@ def _run_moments(args: argparse.Namespace) -> int:
 
 
 def _run_asymptotic(args: argparse.Namespace) -> int:
-    from . import asymptotics
     queries = [asymptotics.AsymptoticQuery(T=args.T, r=args.r, n=n, k_cap=args.k_cap)
                for n in args.n]
     # theorem B rejects an n past double range before any main-term work
@@ -176,7 +167,6 @@ def _run_asymptotic(args: argparse.Namespace) -> int:
 
 
 def _run_compare(args: argparse.Namespace) -> int:
-    from . import asymptotics
     rows = asymptotics.comparison_rows(args.T, args.r, args.n)
     out = _resolve_out(args, f"compare_T{args.T}_r{args.r}.{args.fmt}")
     if args.fmt == "csv":
@@ -198,11 +188,7 @@ def _run_compare(args: argparse.Namespace) -> int:
 
 
 def _run_verify(args: argparse.Namespace) -> int:
-    from . import mockforms
-    if args.case is not None and args.case not in mockforms.VERIFICATION_CASES:
-        raise ValueError(f"--case must be one of {', '.join(mockforms.VERIFICATION_CASES)}, "
-                         f"got {args.case!r}")
-    cases = [args.case] if args.case is not None else list(mockforms.VERIFICATION_CASES)
+    cases = [args.case] if args.case else list(mockforms.VERIFICATION_CASES)
     reports = []
     failed = False
     for case in cases:
@@ -219,7 +205,6 @@ def _run_verify(args: argparse.Namespace) -> int:
 
 
 def _run_scan(args: argparse.Namespace) -> int:
-    from . import asymptotics
     n_lo, n_hi = args.n_range
     with _fits_in_memory("--n", n_hi):
         report = asymptotics.garvan_scan(args.T, args.r, n_lo, n_hi)
@@ -307,7 +292,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="transformation-law suites")
     common(p, needs_T=False, formats=("json",))
-    p.add_argument("--case", default=None, help="one suite (default: all twelve)")
+    p.add_argument("--case", default=None, choices=mockforms.VERIFICATION_CASES,
+                   help="one suite (default: all twelve)")
     p.add_argument("--trials", type=positive_int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol-scale", type=positive_float, default=1.0,
