@@ -42,12 +42,10 @@ from .specfun import (
     script_h,
 )
 from .units import (
-    I_POW_3_2,
     alpha_shift,
-    chi_multiplier,
+    kloosterman_numerator,
     kloosterman_partials,
     kloosterman_sum,
-    neg_inverse,
     phase,
     rho_residue,
     unit_h_star,
@@ -83,11 +81,12 @@ class AsymptoticQuery:
 def positivity_gate(T: int, gamma: int, varrho: int) -> Fraction:
     """The exact rational 1/12 - (gamma^2/T^3)(varrho^2 + T^2/4 - |varrho| T).
 
-    A term of the Mordell part is included only when this is positive; the
-    arithmetic stays in Fractions so inclusion is never a rounding call.
+    Since varrho^2 + T^2/4 - |varrho| T = (T - 2|varrho|)^2/4, this is the
+    one fraction (T^3 - 3 gamma^2 (T - 2|varrho|)^2)/(12 T^3).  A term of
+    the Mordell part is included only when it is positive; the arithmetic
+    is exact, so inclusion is never a rounding call.
     """
-    quad = Fraction(varrho * varrho) + Fraction(T * T, 4) - abs(varrho) * T
-    return Fraction(1, 12) - Fraction(gamma * gamma, T**3) * quad
+    return Fraction(T**3 - 3 * gamma**2 * (T - 2 * abs(varrho)) ** 2, 12 * T**3)
 
 
 @dataclass
@@ -265,9 +264,10 @@ def theorem_b_difference_leading(T: int, r: int, n: int) -> float:
 
 def moment_cusp_mu(T: int, r: int, h: int, k: int, z: complex) -> complex:
     """The modular-part main term of the moment generating function near
-    the cusp h/k."""
-    hinv = neg_inverse(h, k)
-    unit = phase(I_POW_3_2 - chi_multiplier(h, k) + Fraction(h - hinv, 12 * k))
+    the cusp h/k.  The unit i^(3/2) chi(h, k)^-1 e((h - [-h]_k)/(12k)) is
+    minus the summand of h in K_k(0): its numerator over 12k is
+    `kloosterman_numerator(h, k, 0)` - 12k."""
+    unit = phase(kloosterman_numerator(h, k, 0) - 12 * k, 12 * k)
     pref = -unit * cmath.exp(-math.pi / (12.0 * k) * (z - 1.0 / z))
     return pref * sum(
         kappa(a, b, c).to_float() * (k * T) ** a * z ** (0.5 - a - 2 * c)

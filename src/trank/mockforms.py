@@ -103,18 +103,11 @@ def theta_tau(v: complex, tau: complex) -> complex:
     return acc
 
 
-def zwegers_a_tau(u: complex, v: complex, tau: complex,
-                  margin: float = _LATTICE_MARGIN) -> complex:
-    """The two-variable Appell-Lerch sum
-    e^(pi i u) sum_n (-1)^n q^(n(n+1)/2) e^(2 pi i n v) / (1 - e^(2 pi i u) q^n),
-    the level-1 case of `zwegers_a_t_tau`."""
-    return zwegers_a_t_tau(1, u, v, tau, margin)
-
-
 def zwegers_a_t_tau(T: int, u: complex, v: complex, tau: complex,
                     margin: float = _LATTICE_MARGIN) -> complex:
     """The level-T Appell-Lerch sum
-    e^(pi i T u) sum_n (-1)^(Tn) q^(Tn(n+1)/2) e^(2 pi i n v) / (1 - e^(2 pi i u) q^n)."""
+    e^(pi i T u) sum_n (-1)^(Tn) q^(Tn(n+1)/2) e^(2 pi i n v) / (1 - e^(2 pi i u) q^n);
+    T = 1 is Zwegers' two-variable A(u, v; tau)."""
     if T < 1:
         raise ValueError("T must be a positive integer")
     tau = _require_upper(tau)
@@ -140,7 +133,7 @@ def mu_tau(u: complex, v: complex, tau: complex,
     th = theta_tau(v, tau)
     if abs(th) < 1e-13:
         raise ValueError("theta denominator below 1e-13; v too close to a zero")
-    return zwegers_a_tau(u, v, tau, margin) / th
+    return zwegers_a_t_tau(1, u, v, tau, margin) / th
 
 
 def _mu_tau_mp(u, v, tau, mp):
@@ -252,7 +245,7 @@ def c_kernel(T: int, t: int, point: EvaluationPoint) -> complex:
     q24 = cmath.exp(1j * math.pi * tau / 12.0)
     a_form = (-2j * cmath.sin(math.pi * u) * q24 / eta_tau(tau)
               * cmath.exp(2j * math.pi * u * t)
-              * zwegers_a_tau(T * u, t * tau, T * tau))
+              * zwegers_a_t_tau(1, T * u, t * tau, T * tau))
     if t != 0:
         return a_form
     quotient_form = (-2.0 * cmath.sin(math.pi * u) * q24
@@ -320,15 +313,11 @@ def _draw_u(rng: random.Random, tau: complex, margin: float = 0.05) -> complex:
                  100)
 
 
-def _sqrt_i_over(z: complex) -> complex:
-    return cmath.sqrt(1j / z)
-
-
 def _trial_eta(rng):
     h, k, z = _draw_modular(rng)
     inv = neg_inverse(h, k)
     lhs = eta_tau((h + 1j * z) / k)
-    rhs = _sqrt_i_over(z) * phase(chi_multiplier(h, k)) * eta_tau((inv + 1j / z) / k)
+    rhs = cmath.sqrt(1j / z) * phase(chi_multiplier(h, k)) * eta_tau((inv + 1j / z) / k)
     return lhs, rhs, {"h": h, "k": k, "z": z}
 
 
@@ -353,7 +342,7 @@ def _trial_theta_modular(rng):
     inv = neg_inverse(h, k)
     v = complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.2, 0.2))
     lhs = theta_tau(v, (h + 1j * z) / k)
-    rhs = (_sqrt_i_over(z) * phase(3 * chi_multiplier(h, k))
+    rhs = (cmath.sqrt(1j / z) * phase(3 * chi_multiplier(h, k))
            * cmath.exp(-math.pi * k * v * v / z)
            * theta_tau(1j * v / z, (inv + 1j / z) / k))
     return lhs, rhs, {"h": h, "k": k, "z": z, "v": v}
@@ -392,7 +381,7 @@ def _trial_muhat_modular(rng):
                        and lattice_distance(x, tau_rhs) >= 0.03 for x in uv),
         200)
     lhs = mu_hat_tau(-1j * u * z, -1j * v * z, tau_lhs, margin=0.02)
-    rhs = (phase(-3 * chi_multiplier(h, k)) * _sqrt_i_over(z)
+    rhs = (phase(-3 * chi_multiplier(h, k)) * cmath.sqrt(1j / z)
            * cmath.exp(-math.pi * k * z * (u - v) ** 2)
            * mu_hat_tau(u, v, tau_rhs, margin=0.02))
     return lhs, rhs, {"h": h, "k": k, "z": z, "u": u, "v": v}
@@ -438,7 +427,7 @@ def _trial_at_decomposition(rng):
     lhs = zwegers_a_t_tau(T, u, v, tau)
     rhs = sum(
         cmath.exp(2j * math.pi * u * t)
-        * zwegers_a_tau(T * u, v + t * tau + (T - 1) / 2.0, T * tau, margin=1e-9)
+        * zwegers_a_t_tau(1, T * u, v + t * tau + (T - 1) / 2.0, T * tau, margin=1e-9)
         for t in range(T)
     )
     # Lemma part (b) through Zwegers' symmetry mu(u, v) = mu(v, u), which
@@ -463,7 +452,7 @@ def _trial_prop_4_1(rng):
     point = EvaluationPoint(u=u, z=z, h=h, k=k)
     lhs = c_kernel(T, 0, point)
     tau3 = (T / (gco * k)) * (inv2 + 1j / (gco * z))
-    rhs = (-2.0 / gco * _sqrt_i_over(z)
+    rhs = (-2.0 / gco * cmath.sqrt(1j / z)
            * cmath.sin(math.pi * u) * cmath.exp(math.pi * k * T * u * u / z)
            * cmath.exp(1j * math.pi * (h + 1j * z) / (12.0 * k))
            / (phase(chi_multiplier(h, k)) * eta_tau((neg_inverse(h, k) + 1j / z) / k))
@@ -559,7 +548,7 @@ def _trial_muhat_composite(rng):
                          and lattice_distance(1j * u / z, tau_rhs) >= 0.03),
               200)
     lhs = mu_hat_tau(u, v_lhs, tau_lhs, margin=0.01)
-    rhs = (_sqrt_i_over(z)
+    rhs = (cmath.sqrt(1j / z)
            * cmath.exp(math.pi * k / z * (u - rho / (T * k)) ** 2
                        - t * t * math.pi * z / (T * T * k)
                        - 2j * math.pi * u * t / T)

@@ -136,15 +136,9 @@ class RankCountTable:
             raise ValueError(f"n={n} outside table range 0..{self.n_max}")
         return self.entries.get((abs(m), n), 0)
 
-    def row_sum(self, n: int) -> int:
-        """sum_m N_T(m, n) over all m."""
-        s = self.count(0, n)
-        for m in range(1, n + 1):
-            s += 2 * self.count(m, n)
-        return s
-
     def moment(self, r: int, n: int) -> int:
-        """sum_{m=-n}^{n} m^r N_T(m, n) from the stored entries."""
+        """sum_{m=-n}^{n} m^r N_T(m, n) from the stored entries; r = 0 is
+        the row sum."""
         s = 0 if r > 0 else self.count(0, n)
         for m in range(1, n + 1):
             c = self.count(m, n)

@@ -7,9 +7,9 @@ Three groups live here:
   rational parts and powers of pi are kept separate until the final float
   assembly;
 * modified Bessel functions of half-integer order -3/2 ... 51/2 on the
-  positive axis, the orders the main term uses (closed forms, a
-  Miller-style downward recurrence, and an independent power-series
-  oracle);
+  positive axis, the orders the main term uses (closed forms with a
+  power-series small-x path, and a Miller-style downward recurrence; the
+  tests' oracle is a 40-digit mpmath series);
 * quadratures: the Mordell integral H, the cosh-Gaussian line integral
   script_h over the real axis, and the Bessel-weighted integral over
   [-1, 1] that multiplies the partial Kloosterman sums.  Its inputs are
@@ -125,11 +125,10 @@ def _as_half_integer(order) -> int:
 
 
 def bessel_i_series(order, x):
-    """Power-series oracle sum_m (x/2)^(2m+nu) / (m! Gamma(m+nu+1)).
-
-    Kept independent of the closed-form/recurrence path so the two can be
-    compared; terms are generated by ratio recursion to avoid overflow.
-    """
+    """The power series sum_m (x/2)^(2m+nu) / (m! Gamma(m+nu+1)): the
+    small-x path of `bessel_i`, below x = |order| for order <= 5/2, where
+    the closed forms lose digits to cancellation.  Terms are generated by
+    ratio recursion to avoid overflow."""
     two_nu = _as_half_integer(order)
     nu = two_nu / 2.0
     xs = np.asarray(x, dtype=float)
@@ -149,12 +148,8 @@ def bessel_i_series(order, x):
     return acc if isinstance(x, np.ndarray) else float(acc)
 
 
-def _sqrt_prefactor(x):
-    return np.sqrt(2.0 / (np.pi * x))
-
-
 def _bessel_closed(two_nu: int, x):
-    pre = _sqrt_prefactor(x)
+    pre = np.sqrt(2.0 / (np.pi * x))
     sh, ch = np.sinh(x), np.cosh(x)
     if two_nu == 1:
         return pre * sh

@@ -9,8 +9,8 @@ every angle here is exact, in one of two forms:
 * a `Fraction` in [0, 2): the eta multiplier (`chi_multiplier`) and the
   unit factors u_mu and u_H of Prop. 4.2 (`u_mu`, `u_h`);
 * an integer numerator over an integer denominator: one numerator over 12k
-  per h in K_k(n) (`kloosterman_sum`), and in the partial Kloosterman sums
-  of the Mordell part an l-free base numerator over L = 12 T gamma_co k,
+  per h in K_k(n) (`kloosterman_numerator`), and in the partial Kloosterman
+  sums an l-free base numerator over L = 12 T gamma_co k built from it,
   reduced by `gcd` (every factor's denominator, 4, 12, k, 4k, 12k,
   gamma_co k or gamma_co T k, divides L), plus an l-dependent numerator
   over a common multiple of that.
@@ -39,7 +39,6 @@ from math import gcd
 
 import numpy as np
 
-I_POW_3_2 = Fraction(3, 4)  # the angle of i^(3/2), principal branch
 _BLOCK_VALUES = 1 << 13  # (t, h, l) values per array pass of `kloosterman_partials`
 
 
@@ -142,21 +141,23 @@ class KloostermanValue:
     terms: int
 
 
+def kloosterman_numerator(h: int, k: int, n: int) -> int:
+    """N = (21k - 24nh + h - [-h]_k - k chi12) mod 24k, chi12 =
+    `chi_twelfths(h, k)`: the summand -i^(3/2) e(-2nh/k) e((h - [-h]_k)/(12k))
+    chi(h, k)^-1 of h in K_k(n) is e^(i pi N/(12k)), and N/(12k) is, as a
+    rational, the reduced angle of that product of `Fraction` angles."""
+    return (21 * k - 24 * n * h + h - neg_inverse(h, k) - k * chi_twelfths(h, k)) % (24 * k)
+
+
 def kloosterman_sum(k: int, n: int) -> KloostermanValue:
     """K_k(n), summed in ascending h: Rademacher's
-    A_k(n) = sum_h e^(pi i s(h, k) - 2 pi i nh/k), s the Dedekind sum.
-
-    Each summand -i^(3/2) e(-2nh/k) e((h - [-h]_k)/(12k)) chi(h, k)^-1 is
-    e^(i pi N/(12k)) with the one integer numerator
-    N = (21k - 24nh + h - [-h]_k - k chi12) mod 24k, chi12 = 12 times chi's
-    angle (`chi_twelfths`); N/(12k) is, as a rational, the reduced angle of
-    the same product of `Fraction` angles, so both give the same float.
+    A_k(n) = sum_h e^(pi i s(h, k) - 2 pi i nh/k), s the Dedekind sum, with
+    the summand of h e^(i pi N/(12k)), N = `kloosterman_numerator(h, k, n)`.
     K_1(n) = 1 exactly (N = 0).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    nums = [(21 * k - 24 * n * h + h - neg_inverse(h, k) - k * chi_twelfths(h, k)) % (24 * k)
-            for h in range(k) if gcd(h, k) == 1]
+    nums = [kloosterman_numerator(h, k, n) for h in range(k) if gcd(h, k) == 1]
     value = sum(phase(num, 12 * k) for num in nums)
     return KloostermanValue(k=k, value=value, terms=len(nums))
 
@@ -194,18 +195,16 @@ def _h_terms(T: int, h: int, k: int, n: int) -> tuple[int, int, int]:
     """(H, inv2, N0), the t-free data of one h: H = gamma_co h,
     inv2 = [-H]_(k/(T,k)), and N0, the t-free part of the base numerator
     over L = 12 T gamma_co k, reduced mod 2L: the angles of
-    e(-2nh/k) i^(3/2), chi(H, k/(T,k))^3, e(g inv2/(4k)), chi(h, k)^-1 and
-    e((h - [-h]_k)/(12k))."""
+    e(-2nh/k) i^(3/2) chi(h, k)^-1 e((h - [-h]_k)/(12k)), which is K_k(n)'s
+    summand N/(12k) (`kloosterman_numerator`) without its minus sign,
+    chi(H, k/(T,k))^3 and e(g inv2/(4k))."""
     g = gcd(T, k)
     gco = T // g
     H = gco * h
-    inv = neg_inverse(h, k)
     inv2 = neg_inverse(H, k // g)
-    N0 = (-24 * n * h * T * gco + 9 * T * gco * k  # e(-2nh/k) i^(3/2)
+    N0 = (T * gco * (kloosterman_numerator(h, k, n) - 12 * k)
           + 3 * T * gco * k * chi_twelfths(H, k // g)  # chi^3
-          + 3 * T * T * inv2  # g inv2/(4k)
-          - T * gco * k * chi_twelfths(h, k)  # chi^-1
-          + T * gco * (h - inv))  # e((h - [-h]_k)/(12k))
+          + 3 * T * T * inv2)  # g inv2/(4k)
     return H, inv2, N0 % (24 * T * gco * k)
 
 

@@ -18,7 +18,6 @@ from trank.mockforms import (
     theta_tau,
     verify_transformation,
     zwegers_a_t_tau,
-    zwegers_a_tau,
 )
 from trank.qseries import moment_generating_eval
 
@@ -66,7 +65,7 @@ class TestAppellLerch:
                 continue
             if abs(theta_tau(v, tau)) < 1e-6:
                 continue
-            lhs = zwegers_a_tau(u, v, tau)
+            lhs = zwegers_a_t_tau(1, u, v, tau)
             rhs = theta_tau(v, tau) * mu_tau(u, v, tau)
             assert rel_err(lhs, rhs) < 1e-13
 
@@ -77,7 +76,7 @@ class TestAppellLerch:
             lhs = zwegers_a_t_tau(T, u, v, 1j * z)
             rhs = sum(
                 cmath.exp(2j * math.pi * u * t)
-                * zwegers_a_tau(T * u, v + t * 1j * z + (T - 1) / 2.0, 1j * (T * z))
+                * zwegers_a_t_tau(1, T * u, v + t * 1j * z + (T - 1) / 2.0, 1j * (T * z))
                 for t in range(T)
             )
             assert rel_err(lhs, rhs) < 1e-12
@@ -87,13 +86,13 @@ class TestAppellLerch:
         # implied center/width by reevaluating at equivalent shifted
         # arguments must agree
         tau = 0.2 + 0.5j
-        a = zwegers_a_tau(0.21 + 0.02j, 0.4, tau)
-        b = zwegers_a_tau(0.21 + 0.02j, 0.4 + 2.0, tau)  # v -> v+2 is exact
+        a = zwegers_a_t_tau(1, 0.21 + 0.02j, 0.4, tau)
+        b = zwegers_a_t_tau(1, 0.21 + 0.02j, 0.4 + 2.0, tau)  # v -> v+2 is exact
         assert rel_err(a, b) < 1e-12
 
     def test_lattice_guard(self):
         with pytest.raises(ValueError):
-            zwegers_a_tau(0.0, 0.3, 0.4j)
+            zwegers_a_t_tau(1, 0.0, 0.3, 0.4j)
         with pytest.raises(ValueError):
             mu_tau(0.2, 1.0 + 0.4j, 0.4j)  # v on the lattice
 
@@ -292,8 +291,8 @@ class TestVerifySuites:
 
         level_t = mockforms.zwegers_a_t_tau
 
-        def doubled_prefactor(T, u, *rest):
-            return cmath.exp(1j * math.pi * T * u) * level_t(T, u, *rest)
+        def doubled_prefactor(T, u, *rest, **kw):
+            return cmath.exp(1j * math.pi * T * u) * level_t(T, u, *rest, **kw)
 
         assert verify_transformation("AT_decomposition", trials=10,
                                      tolerance=1e-8, seed=1).passed

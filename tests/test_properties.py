@@ -58,7 +58,7 @@ def test_parse_range(lo, hi, step):
 @given(st.sampled_from((1, 3)), st.integers(1, RANK_N_MAX))
 def test_row_sums_are_partition_numbers(T, n):
     # the crank and the rank each count every partition of n >= 1 once
-    assert _ranks(T).row_sum(n) == _p(n)
+    assert _ranks(T).moment(0, n) == _p(n)
     assert _moments(T, 0)[n] == _p(n)
 
 

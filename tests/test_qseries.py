@@ -122,7 +122,7 @@ class TestRankCountTable:
         for T in (1, 3):
             table = rank_count_table(T, 40)
             for n in range(1, 41):
-                assert table.row_sum(n) == partition_number(n), (T, n)
+                assert table.moment(0, n) == partition_number(n), (T, n)
 
     @pytest.mark.parametrize("T", range(1, 24, 2))
     def test_row_sums_andrews_gordon(self, T):

@@ -14,6 +14,9 @@ The scalar integer path of the partial Kloosterman sums (`base_phase`,
 unit as in `units.phase`, and one loop over h) is kept here as a second,
 faster reference for the array pass, swept where the `Fraction`
 compositions would take too long.
+
+Every factor's angle is written here from its formula, i^(3/2) = e(3/4)
+included, so no oracle reads a constant from the code it checks.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from trank import units
 from trank.units import (
     KloostermanValue,
     _h_terms,
@@ -74,7 +76,7 @@ class ExactUnit:
         return self.scale * cmath.exp(1j * math.pi * float(self.angle))
 
 
-I_POW_3_2 = ExactUnit(units.I_POW_3_2)
+I_POW_3_2 = ExactUnit(Fraction(3, 4))  # i^(3/2), principal branch
 
 
 def chi(h: int, k: int) -> ExactUnit:
