@@ -1,10 +1,11 @@
 """Oracles shared across test modules.
 
 Everything here is deliberately naive and independent of the package's
-series engine: direct partition enumeration (`spt_oracle`), literal
-formula evaluation, and the two-variable moment kernel with Taylor
-coefficients by a Cauchy integral (`moment_kernel`, `taylor_moments`,
-`taylor_identity_check`), which the package itself does not need.
+series engine: direct partition enumeration (`spt_oracle`,
+`garvan_k_rank_counts`), literal formula evaluation (`selberg_a`), and
+the two-variable moment kernel with Taylor coefficients by a Cauchy
+integral (`moment_kernel`, `taylor_moments`, `taylor_identity_check`),
+which the package itself does not need.
 """
 
 from __future__ import annotations
@@ -71,6 +72,36 @@ def rank_counts(n: int) -> dict[int, int]:
     return counts
 
 
+def garvan_k_rank_counts(T: int, n: int) -> dict[int, int]:
+    """{m: N_T(m, n)} for odd T >= 3 from Garvan's k-rank, k = (T + 1)/2
+    (Garvan, "Generalizations of Dyson's rank and non-Rogers-Ramanujan
+    partitions", Manuscripta Math. 84, 1994), by enumeration.
+
+    n_1 is the Durfee square of a partition, n_2 that of the parts below
+    it, and so on.  Only partitions with at least k - 1 successive Durfee
+    squares count; their k-rank is the number of columns to the right of
+    the first square of length at most n_(k-1), minus the number of parts
+    below the (k-1)-th square.  At k = 2 this is Dyson's rank."""
+    squares_needed = (T - 1) // 2
+    counts: dict[int, int] = {}
+    for p in partitions(n):
+        parts = p[::-1]
+        squares, rest = [], parts
+        while len(squares) < squares_needed:
+            d = sum(1 for i, x in enumerate(rest) if x > i)
+            if not d:
+                break
+            squares.append(d)
+            rest = rest[d:]
+        if len(squares) < squares_needed:
+            continue
+        columns = sum(1 for j in range(squares[0] + 1, parts[0] + 1)
+                      if sum(1 for x in parts if x >= j) <= squares[-1])
+        m = columns - (len(parts) - sum(squares))
+        counts[m] = counts.get(m, 0) + 1
+    return counts
+
+
 def spt_oracle(n: int) -> int:
     """spt(n) for n >= 1 by brute force: the number of smallest parts,
     summed over every partition of n.  Nothing is shared with the series
@@ -117,6 +148,14 @@ def rademacher_a(k: int, n: int) -> complex:
     e^(pi i s(h, k) - 2 pi i nh/k)."""
     return sum(cmath.exp(1j * math.pi * float((dedekind_sum(h, k) - Fraction(2 * n * h, k)) % 2))
                for h in range(k) if gcd(h, k) == 1)
+
+
+def selberg_a(k: int, n: int) -> float:
+    """Rademacher's A_k(n) by Selberg's formula
+    sqrt(k/3) sum (-1)^l cos((6l + 1) pi/(6k)) over l mod 2k with
+    (3l^2 + l)/2 = -n (mod k): real, with no Dedekind sum and no inverse."""
+    return math.sqrt(k / 3) * sum((-1) ** l * math.cos((6 * l + 1) * math.pi / (6 * k))
+                                  for l in range(2 * k) if ((3 * l * l + l) // 2 + n) % k == 0)
 
 
 def gauss_error(x: float) -> float:

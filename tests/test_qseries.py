@@ -15,6 +15,7 @@ from trank.qseries import (
 )
 
 from helpers import (
+    garvan_k_rank_counts,
     partition_count,
     partition_counts_with_parts,
     rank_counts,
@@ -98,6 +99,18 @@ class TestRankCountTable:
         table = rank_count_table(3, 12)
         for n in range(1, 13):
             counts = rank_counts(n)
+            for m in range(-n, n + 1):
+                assert table.count(m, n) == counts.get(m, 0), (m, n)
+
+    @pytest.mark.parametrize("T", [3, 5, 7, 9, 11])
+    def test_against_garvan_k_rank_enumeration(self, T):
+        # every N_T(m, n), n <= 30, is the count of partitions of n with at
+        # least (T-1)/2 successive Durfee squares and k-rank m, k = (T+1)/2:
+        # a combinatorial oracle that shares nothing with the series
+        table = rank_count_table(T, 30)
+        for n in range(1, 31):
+            counts = garvan_k_rank_counts(T, n)
+            assert all(abs(m) <= n for m in counts), n
             for m in range(-n, n + 1):
                 assert table.count(m, n) == counts.get(m, 0), (m, n)
 

@@ -29,7 +29,7 @@ from trank.units import (
     unit_h_star,
 )
 
-from helpers import dedekind_sum, rademacher_a
+from helpers import dedekind_sum, rademacher_a, selberg_a
 from unit_oracles import (
     I_POW_3_2,
     ExactUnit,
@@ -258,6 +258,13 @@ class TestKloosterman:
                 expect = rademacher_a(k, n)
                 assert abs(kloosterman_sum(k, n).value - expect) < 1e-12 * k, (k, n)
 
+    def test_equals_selberg_formula(self):
+        # Selberg's real form of A_k(n) needs no Dedekind sum and no
+        # inverse, so it shares no step with the summand numerator
+        for k in range(1, 401):
+            for n in (1, 2, 7, 50, 221, 1600, 99991):
+                assert abs(kloosterman_sum(k, n).value - selberg_a(k, n)) < 2e-14 * math.sqrt(k), (k, n)
+
     def test_period_in_n(self):
         for k in (2, 3, 5, 8):
             for n in range(6):
@@ -396,7 +403,11 @@ class TestIntegerPhases:
     def test_buckets_equal_partial_sums(self):
         # each bucket is, bit for bit and with the same term count, the sum
         # over the coprime h of its rho class of the composed `ExactUnit`s
-        # in ascending h, for every t and rho, empty buckets included
+        # in ascending h, for every t and rho, empty buckets included;
+        # `kloosterman_partial`, one bucket of a whole pass, is compared
+        # where its index arithmetic can slip: t = +-1 and +-(T-1)/2 (the
+        # neighbours of the missing t = 0 and the ends), every rho, and
+        # the first and last l
         for T in (3, 5, 9, 15, 21):
             half = (T - 1) // 2
             rhos = list(range(-half, half + 1))
@@ -410,7 +421,8 @@ class TestIntegerPhases:
                         for l in range(kg):
                             value = _bucket(T, t, counts, sums, j, l, k)
                             assert value == oracle_partial(T, t, rho, l, k, n)
-                            assert value == kloosterman_partial(T, t, rho, l, k, n)
+                            if abs(t) in (1, half) and l in (0, kg - 1):
+                                assert value == kloosterman_partial(T, t, rho, l, k, n)
 
     @pytest.mark.parametrize("T", range(1, 24, 2))
     def test_buckets_equal_the_scalar_pass(self, T):
