@@ -15,8 +15,8 @@ unit as in `units.phase`, and one loop over h) is kept here as a second,
 faster reference for the array pass, swept where the `Fraction`
 compositions would take too long.
 
-Every factor's angle is written here from its formula, i^(3/2) = e(3/4)
-included, so no oracle reads a constant from the code it checks.
+The angle of i^(3/2), 3/4, is written here rather than imported, so the
+oracles take no constant from the package they check.
 """
 
 from __future__ import annotations
