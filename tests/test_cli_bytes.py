@@ -132,6 +132,23 @@ def test_stdout_bytes(argv, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == BYTES[argv]
 
 
+# A report that holds failures: at a 1e-12 tolerance scale all twelve
+# suites fail every trial, so each failure's inputs, lhs and rhs are
+# written for every input type (complex numbers, the `shifts` list and the
+# `law` and `part` strings); exit status 1
+FAILING = {
+    "verify --trials 3 --seed 2 --tol-scale 1e-12":
+        "006a22b6d508e9f19d197435cee49185c5d2a1e19ed4cdde99ed11f11e714402",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(FAILING))
+def test_failing_stdout_bytes(argv, capsys):
+    assert main(argv.split()) == 1
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == FAILING[argv]
+
+
 @pytest.mark.parametrize("argv", INVALID)
 def test_invalid_input_exits_2(argv, capsys):
     assert main(argv.split()) == 2
