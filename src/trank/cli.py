@@ -108,8 +108,15 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
+def _complex_pair(value) -> list:
+    """A complex number as [real, imag]; any other type is not JSON."""
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _json_text(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=1, default=_complex_pair) + "\n"
 
 
 def breakdown_dict(breakdown: asymptotics.TermBreakdown) -> dict:

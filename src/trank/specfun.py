@@ -16,7 +16,7 @@ Three groups live here:
   plain numbers: T, n, c, s = a + c and, per (k, varrho) group, k, the
   float gate beta, the integer rho of varrho = rho/T and the alphas.
 
-All quadratures are deterministic for fixed inputs and tolerance.
+Each quadrature is deterministic, at the one accuracy its docstring states.
 """
 
 from __future__ import annotations
@@ -323,12 +323,12 @@ def _trapezoid_real_line(f, decay: float, growth: float, strip: float, chirp: fl
     raise ConvergenceError("trapezoid refinement did not converge")
 
 
-def mordell_h(w: complex, z: complex, tol: float = 1e-10) -> complex:
+def mordell_h(w: complex, z: complex) -> complex:
     """Mordell integral H(w; z) = int_R e^(-pi i x^2 z - 2 pi w x) / cosh(pi x) dx.
 
     The Gaussian factor decays only when Im z < 0; the transformation-law
     call sites all arrive in that half-plane (as -i times a right-half-plane
-    quantity).  Tolerance is absolute, relative once |H| exceeds 1.
+    quantity).  Tolerance 1e-12, absolute, relative once |H| exceeds 1.
 
     Re w is first brought into [-1/2, 1/2] by Zwegers' identity
     h(v) + h(v + 1) = 2/sqrt(-i tau) e^(pi i (v + 1/2)^2 / tau) with
@@ -371,20 +371,19 @@ def mordell_h(w: complex, z: complex, tol: float = 1e-10) -> complex:
     growth = 2.0 * math.pi * abs(w.real) - math.pi
     return closed + sign * _trapezoid_real_line(
         f, decay, growth, strip=0.5, chirp=math.pi * abs(z) ** 2 / -z.imag,
-        slope=2.0 * math.pi * abs(w.imag), tol=tol)
+        slope=2.0 * math.pi * abs(w.imag), tol=1e-12)
 
 
-def script_h(c: int, T: int, alpha, gamma: int, varrho, k: int, z: complex,
-             tol: float = 1e-10) -> complex:
+def script_h(c: int, T: int, alpha, gamma: int, varrho, k: int, z: complex) -> complex:
     """int_R x^c e^(-pi T x^2/(gamma^2 k z) + 2 pi alpha x)
     / cosh(pi (x + i rho)) dx.
 
     Needs Re(1/z) > 0 for decay and |rho| < 1/2 to keep the cosh zero-free
-    on the contour.  The polynomial factor is x^c, not (x + i rho)^c: the
-    contour shift that produces this integral moves the rho-offset out of
-    the power and into the cosh alone, which a direct Taylor-coefficient
-    comparison of the expanded Mordell integral confirms numerically (the
-    shifted power fails it at every order with c > 0).
+    on the contour.  Tolerance 1e-10, absolute, relative past magnitude 1.
+    The polynomial factor is x^c, not (x + i rho)^c: the contour shift
+    moves the rho-offset out of the power and into the cosh alone, as a
+    Taylor-coefficient comparison of the expanded Mordell integral
+    confirms (the shifted power fails it at every order with c > 0).
     """
     alpha = float(alpha)
     rho = float(varrho)
@@ -411,7 +410,7 @@ def script_h(c: int, T: int, alpha, gamma: int, varrho, k: int, z: complex,
              - math.log(math.cos(math.pi * rho)))
     return _trapezoid_real_line(f, decay, growth, strip=0.5 - abs(rho),
                                 chirp=rate * abs(inv_z) ** 2 / inv_z.real, slope=0.0,
-                                tol=tol, extra_log=extra)
+                                tol=1e-10, extra_log=extra)
 
 
 @lru_cache(maxsize=None)
@@ -422,7 +421,7 @@ def _gauss_legendre() -> tuple:
 
 
 def bessel_integral(T: int, n: int, c: int, s: int, k: int, beta: float, rho: int,
-                    alpha: float, tol: float = 1e-9) -> complex:
+                    alpha: float) -> complex:
     """The [-1, 1] integral of the asymptotic formula's Mordell part,
 
         int_(-1)^1 (lam x)^c e^(2 pi lam alpha x) (1 - x^2)^((1/2 - s)/2)
@@ -434,10 +433,10 @@ def bessel_integral(T: int, n: int, c: int, s: int, k: int, beta: float, rho: in
 
     Gauss-Legendre panels with panel-count doubling: the integrand is
     analytic across x = +-1, so interior nodes suffice.  The doubling test
-    is relative, or at the roundoff floor of the node-sum magnitude when
-    the integrand cancels (odd symmetry).
+    is 1e-9 relative, or at the roundoff floor of the node-sum magnitude
+    when the integrand cancels (odd symmetry).
     """
-    return bessel_integrals(T, n, c, s, [(k, beta, rho, [alpha])], tol)[0][0]
+    return bessel_integrals(T, n, c, s, [(k, beta, rho, [alpha])])[0][0]
 
 
 # The most (alpha x panel x node) values that `bessel_integrals` holds in
@@ -446,8 +445,7 @@ def bessel_integral(T: int, n: int, c: int, s: int, k: int, beta: float, rho: in
 _BLOCK_NODES = 1 << 13
 
 
-def bessel_integrals(T: int, n: int, c: int, s: int, groups,
-                     tol: float = 1e-9) -> list[list[complex]]:
+def bessel_integrals(T: int, n: int, c: int, s: int, groups) -> list[list[complex]]:
     """`bessel_integral` at each alpha of each (k, beta, rho, alphas) group,
     as one list of values per group.
 
@@ -532,7 +530,7 @@ def bessel_integrals(T: int, n: int, c: int, s: int, groups,
             total[block] = np.cumsum(rad * vals.sum(axis=2), axis=1)[:, -1] + 0.0
             magnitude[block] = np.cumsum(rad * np.abs(vals).sum(axis=2), axis=1)[:, -1]
         if prev is not None:
-            done = np.abs(total - prev) <= np.maximum(tol * np.abs(total), 1e-14 * magnitude)
+            done = np.abs(total - prev) <= np.maximum(1e-9 * np.abs(total), 1e-14 * magnitude)
             out[pending[done]] = total[done]
             pending, total = pending[~done], total[~done]
         prev = total

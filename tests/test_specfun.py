@@ -224,12 +224,6 @@ class TestMordellH:
             z = complex(rng.uniform(-0.5, 0.5), -rng.uniform(0.8, 2.5))
             assert abs(mordell_h(w, z) - mordell_h(-w, z)) < 1e-11
 
-    def test_tolerance_refinement(self):
-        w, z = 0.3 + 0.2j, 0.4 - 1.5j
-        coarse = mordell_h(w, z, tol=1e-8)
-        fine = mordell_h(w, z, tol=1e-12)
-        assert abs(coarse - fine) < 1e-8
-
     def test_known_gaussian_limit(self):
         # for w = 0 and z = -i s the integrand is positive; compare to mpmath quad
         val = mordell_h(0.0, -1.2j)
@@ -277,17 +271,17 @@ class TestMordellH:
                 lambda x: mp.exp(-1j * mp.pi * x * x * zm - 2 * mp.pi * wm * x)
                 / mp.cosh(mp.pi * x),
                 mp.linspace(-cut, cut, int(cut / 2.0) + 2)))
-        assert rel_err(mordell_h(w, z, tol=1e-12), ref) <= 1e-14
+        assert rel_err(mordell_h(w, z), ref) <= 1e-14
 
-    # Nodes each FAR_STRIP point takes at tol=1e-12 with the strip-bound
-    # step; the oscillation-rate step took 19,014, 22,658, 12,734, 11,984
-    # and 16,452.
+    # Nodes each FAR_STRIP point takes at H's tolerance 1e-12 with the
+    # strip-bound step; the oscillation-rate step took 19,014, 22,658,
+    # 12,734, 11,984 and 16,452.
     FAR_STRIP_NODES = [786, 792, 1034, 828, 894]
 
     @pytest.mark.parametrize("point, nodes", zip(FAR_STRIP, FAR_STRIP_NODES))
     def test_far_strip_node_count(self, point, nodes, monkeypatch):
         seen = _spy_trapezoid(monkeypatch)
-        mordell_h(*point, tol=1e-12)
+        mordell_h(*point)
         assert seen["nodes"] <= nodes
 
     # Chirped points, |Re z| >= 5 |Im z|, where e^(-pi i x^2 z) oscillates
@@ -322,7 +316,7 @@ class TestMordellH:
                 lambda x: mp.exp(-1j * mp.pi * x * x * zm - 2 * mp.pi * wm * x)
                 / mp.cosh(mp.pi * x),
                 mp.linspace(-cut, cut, int(phase / 15.0) + 2)))
-        err = abs(mordell_h(w, z, tol=1e-12) - ref)
+        err = abs(mordell_h(w, z) - ref)
         if abs(ref) >= 1e-2:
             assert err <= 1e-14 * abs(ref)
         else:
@@ -364,7 +358,7 @@ class TestScriptH:
                 / mp.cosh(mp.pi * (x + 1j * rho)),
                 mp.linspace(-12, 12, 49)))
         seen = _spy_trapezoid(monkeypatch)
-        assert rel_err(script_h(*args, tol=1e-12), ref) <= 1e-14
+        assert rel_err(script_h(*args), ref) <= 1e-14
         assert seen["reach"] < reach
 
     def test_odd_integrand_vanishes(self):
@@ -428,21 +422,40 @@ class TestBesselIntegral:
         val = bessel_integral(**_params(rho=0), alpha=0.0)
         assert abs(val) < 1e-7  # roundoff floor of a cancelling integrand
 
-    def test_node_doubling_agreement(self):
-        rng = random.Random(19)
-        for _ in range(20):
-            T = rng.choice([5, 7, 11])
-            half = (T - 1) // 2
-            rho = rng.randrange(-half, half + 1)
-            gate = _gate(T, rho)
-            if gate <= 0:
-                continue
-            p = _params(T=T, beta=gate, rho=rho, alpha=rng.randrange(-2, 3) / T,
-                        c=rng.choice([1, 3]), s=1 + rng.choice([0, 1]),
-                        k=rng.randrange(1, 4), n=rng.choice([100, 400]))
-            a = bessel_integral(**p, tol=1e-9)
-            b = bessel_integral(**p, tol=1e-11)
-            assert abs(a - b) <= 1e-8 * max(abs(a), 1.0)
+    # Groups that `theorem_a_main` builds, (T, n, c, s, k, rho, alpha):
+    # gamma = gcd(T, k), rho a multiple of T / gamma past the gate, and
+    # alpha = alpha_shift(T, t, l, k / gamma) at one (t, l)
+    REFERENCE_CASES = [
+        (5, 200, 0, 1, 1, 0, -1 / 5),
+        (7, 400, 1, 2, 2, 0, 1 / 28),
+        (9, 300, 0, 3, 3, 3, 2 / 9),
+        (11, 1000, 2, 3, 3, 0, 32 / 66),
+        (15, 1600, 3, 4, 3, -5, -14 / 30),
+        (21, 5000, 4, 5, 3, 7, -8 / 42),
+        (23, 10000, 5, 5, 4, 0, 91 / 184),
+    ]
+
+    @pytest.mark.parametrize("T, n, c, s, k, rho, alpha", REFERENCE_CASES)
+    def test_against_mpmath(self, T, n, c, s, k, rho, alpha):
+        # the docstring's integrand, each factor in mpmath at 30 digits,
+        # by tanh-sinh quadrature on [-1, 0, 1]
+        gamma = math.gcd(T, k)
+        assert rho % (T // gamma) == 0
+        beta = float(positivity_gate(T, gamma, rho))
+        with mp.workdps(30):
+            lam = mp.sqrt(mp.mpf(beta) / T) * (T // gamma)
+            scale = 2 * mp.pi / k * mp.sqrt(mp.mpf(beta) * (24 * n - 1) / 12)
+            nu = mp.mpf(2 * s - 1) / 2
+            shift = 1j * mp.mpf(rho) / T
+
+            def f(x):
+                y = 1 - x * x
+                return ((lam * x) ** c * mp.exp(2 * mp.pi * lam * alpha * x)
+                        * y ** ((mp.mpf(1) / 2 - s) / 2) * mp.besseli(nu, scale * mp.sqrt(y))
+                        / mp.cosh(mp.pi * (lam * x + shift)))
+
+            ref = complex(mp.quad(f, [-1, 0, 1]))
+        assert rel_err(bessel_integral(T, n, c, s, k, beta, rho, alpha), ref) <= 1e-13
 
     def test_growth_envelope(self):
         # |integral| <= C n^(d/2 + 1/4) e^(2 pi sqrt(2 beta n) / k), with
