@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive and independent of the package's
 series engine: direct partition enumeration (`spt_oracle`,
-`garvan_k_rank_counts`), literal formula evaluation (`selberg_a`), and
+`garvan_k_rank_counts`), literal formula evaluation (`selberg_a`,
+`selberg_a_mp`), and
 the two-variable moment kernel with Taylor coefficients by a Cauchy
 integral (`moment_kernel`, `taylor_moments`, `taylor_identity_check`),
 which the package itself does not need.
@@ -13,9 +14,11 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from math import gcd
 
+import mpmath as mp
 import numpy as np
 
 from trank.errors import ConvergenceError
@@ -105,8 +108,38 @@ def garvan_k_rank_counts(T: int, n: int) -> dict[int, int]:
 def spt_oracle(n: int) -> int:
     """spt(n) for n >= 1 by brute force: the number of smallest parts,
     summed over every partition of n.  Nothing is shared with the series
-    engine; n = 60 takes about half a second."""
-    return sum(p.count(p[0]) for p in partitions(n))
+    engine.  The partitions are those of `partitions`, counted in place:
+    each one is the stack a[:k] plus a tail [x, y] or [x + y], so the
+    smallest parts are the copies of a[0] in the stack, found by bisection
+    as the stack ascends, and the tail's parts equal to it."""
+    a = [0] * (n + 1)
+    k, y = 1, n - 1
+    total = 0
+    while k != 0:
+        x = a[k - 1] + 1
+        k -= 1
+        while 2 * x <= y:
+            a[k] = x
+            y -= x
+            k += 1
+        if k:
+            s = a[0]
+            lead = bisect_right(a, s, 0, k)
+            tied = lead == k
+            while x <= y:
+                total += lead + (tied and x == s) + (tied and y == s)
+                x += 1
+                y -= 1
+            total += lead + (tied and x + y == s)
+        else:
+            while x <= y:
+                total += 1 + (x == y)
+                x += 1
+                y -= 1
+            total += 1
+        a[k] = x + y
+        y = x + y - 1
+    return total
 
 
 def schoolbook_product(a, b) -> list[int]:
@@ -156,6 +189,13 @@ def selberg_a(k: int, n: int) -> float:
     (3l^2 + l)/2 = -n (mod k): real, with no Dedekind sum and no inverse."""
     return math.sqrt(k / 3) * sum((-1) ** l * math.cos((6 * l + 1) * math.pi / (6 * k))
                                   for l in range(2 * k) if ((3 * l * l + l) // 2 + n) % k == 0)
+
+
+def selberg_a_mp(k: int, n: int) -> mp.mpf:
+    """`selberg_a` in mpmath at the working precision."""
+    return mp.sqrt(mp.mpf(k) / 3) * mp.fsum(
+        (-1) ** l * mp.cos((6 * l + 1) * mp.pi / (6 * k))
+        for l in range(2 * k) if ((3 * l * l + l) // 2 + n) % k == 0)
 
 
 def gauss_error(x: float) -> float:

@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 from math import gcd
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -24,9 +25,9 @@ from trank.asymptotics import (
 from trank.cli import breakdown_dict
 from trank.errors import TruncationError
 from trank.qseries import moment_table, spt_series
-from trank.specfun import kappa_support
+from trank.specfun import kappa, kappa_support
 
-from helpers import spt_oracle
+from helpers import selberg_a_mp, spt_oracle
 
 
 class TestQueryValidation:
@@ -211,6 +212,35 @@ class TestTheoremA:
 
         monkeypatch.setattr("trank.asymptotics.bessel_i", scalars)
         assert theorem_a_main(query).mu_contributions == together
+
+    @pytest.mark.parametrize("T, r, n", [(1, 2, 100), (5, 2, 400), (7, 4, 300),
+                                         (23, 6, 1600), (3, 26, 2000)])
+    def test_mu_terms_against_mpmath(self, T, r, n):
+        # each term 2 pi A_k(n)/k kappa(a, b, c) (kT)^a (24n - 1)^(nu/2)
+        # I_nu(pi sqrt(24n - 1)/(6k)), nu = (2a + 4c - 3)/2, at 40 digits from
+        # Selberg's A_k(n), the exact kappa and mp.besseli.  The float A_k(n)
+        # is a sum of unit phases, so a k with A_k(n) = 0 may keep terms of
+        # rounding size: each error is taken against the A-free factor times
+        # max(|A_k(n)|, 1)
+        breakdown = theorem_a_main(AsymptoticQuery(T=T, r=r, n=n))
+        support = kappa_support(r)
+        worst = 0.0
+        with mp.workdps(40):
+            a_k = {k: selberg_a_mp(k, n) for k in range(1, breakdown.query.cap + 1)}
+            needed = {(k, *abc) for k, value in a_k.items() if abs(value) > 1e-30
+                      for abc in support}
+            assert needed <= set(breakdown.mu_contributions)
+            assert set(breakdown.mu_contributions) <= {(k, *abc) for k in a_k for abc in support}
+            m = mp.mpf(24 * n - 1)
+            for (k, a, b, c), term in breakdown.mu_contributions.items():
+                rational, pi_exponent = kappa(a, b, c)
+                nu = mp.mpf(2 * a + 4 * c - 3) / 2
+                rest = (2 * mp.pi / k * mp.mpf(rational.numerator) / rational.denominator
+                        * mp.pi**pi_exponent * mp.mpf(k * T) ** a * m ** (nu / 2)
+                        * mp.besseli(nu, mp.pi * mp.sqrt(m) / (6 * k)))
+                error = abs(mp.mpc(term) - a_k[k] * rest) / (abs(rest) * max(abs(a_k[k]), 1))
+                worst = max(worst, float(error))
+        assert worst <= 1e-13
 
 
 # SHA-256 of json.dumps(breakdown_dict(theorem_a_main(query)), sort_keys=True):
