@@ -2,11 +2,11 @@
 
 Everything here is deliberately naive and independent of the package's
 series engine: direct partition enumeration (`spt_oracle`,
-`garvan_k_rank_counts`), literal formula evaluation (`selberg_a`,
-`selberg_a_mp`), and
-the two-variable moment kernel with Taylor coefficients by a Cauchy
-integral (`moment_kernel`, `taylor_moments`, `taylor_identity_check`),
-which the package itself does not need.
+`garvan_k_rank_counts`), literal formula evaluation (`selberg_a_mp`, and
+`selberg_a` in double precision), and the two-variable moment kernel with
+Taylor coefficients by a Cauchy integral (`moment_kernel`,
+`taylor_moments`, `taylor_identity_check`), which the package itself
+does not need.
 """
 
 from __future__ import annotations
@@ -183,19 +183,20 @@ def rademacher_a(k: int, n: int) -> complex:
                for h in range(k) if gcd(h, k) == 1)
 
 
-def selberg_a(k: int, n: int) -> float:
+def selberg_a_mp(k: int, n: int) -> mp.mpf:
     """Rademacher's A_k(n) by Selberg's formula
     sqrt(k/3) sum (-1)^l cos((6l + 1) pi/(6k)) over l mod 2k with
-    (3l^2 + l)/2 = -n (mod k): real, with no Dedekind sum and no inverse."""
-    return math.sqrt(k / 3) * sum((-1) ** l * math.cos((6 * l + 1) * math.pi / (6 * k))
-                                  for l in range(2 * k) if ((3 * l * l + l) // 2 + n) % k == 0)
-
-
-def selberg_a_mp(k: int, n: int) -> mp.mpf:
-    """`selberg_a` in mpmath at the working precision."""
+    (3l^2 + l)/2 = -n (mod k), at mpmath's working precision: real, with
+    no Dedekind sum and no inverse."""
     return mp.sqrt(mp.mpf(k) / 3) * mp.fsum(
         (-1) ** l * mp.cos((6 * l + 1) * mp.pi / (6 * k))
         for l in range(2 * k) if ((3 * l * l + l) // 2 + n) % k == 0)
+
+
+def selberg_a(k: int, n: int) -> float:
+    """`selberg_a_mp` in double precision."""
+    with mp.workprec(53):
+        return float(selberg_a_mp(k, n))
 
 
 def gauss_error(x: float) -> float:
