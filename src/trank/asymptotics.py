@@ -26,6 +26,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from math import gcd, isqrt
 
 import numpy as np
@@ -142,20 +143,30 @@ def theorem_a_main(query: AsymptoticQuery) -> TermBreakdown:
     call before any mu-part work.  It takes three passes: the partial
     Kloosterman sums of every k of a gamma from one `kloosterman_partials`
     call, whose int64 array pass runs over blocks of at most 2^13 (t, h, l)
-    values and buckets each unit by t and varrho; the Bessel integrals, in
-    one quadrature pass per (c, s = a + c) over the alphas of every
-    (k, varrho) group; then the terms, summed in (gamma, k, t, varrho, l,
-    a, b, c) order, with the powers of each (k, t, varrho, a, b, c)
-    computed once.  The mu part evaluates each Bessel order once, for
-    every k at once.
+    values and buckets each unit by t and varrho; the Bessel integrals of
+    every (c, s = a + c) at the alphas of every (k, varrho) group, in one
+    quadrature pass; then the terms, as arrays over (bucket, l) rows and
+    (a, b, c) columns whose real and imaginary parts follow CPython's
+    complex products factor by factor, summed in (gamma, k, t, varrho, l,
+    a, b, c) order by `np.cumsum`, so each term and the sum have the bits
+    of a scalar Python loop.  The mu part evaluates each Bessel order
+    once, for every k at once.
     """
     T, r, n = query.T, query.r, query.n
     out = TermBreakdown(query=query)
     abc = kappa_h_support(r)
     half = (T - 1) // 2
-    ts = [t for t in range(-half, half + 1) if t]
-    table = {}  # (k, varrho) -> (gamma, float gate, the alphas of its (t, l) in order)
-    buckets = []  # (k, t, varrho, index of its l = 0 alpha, partial sums over l)
+    ts = np.array([t for t in range(-half, half + 1) if t])
+    # each term is 2 pi K / k times these five floats, in this order, times
+    # its integral: kappa_h, (kT)^(a-1/2), gamma^(c+1/2),
+    # (2n - 1/12)^((a+c)/2 - 1/4) and gate^(3/4 - (a+c)/2)
+    fixed = np.empty((len(abc), 5))
+    fixed[:, 0] = [kappa_h(*key).to_float() for key in abc]
+    fixed[:, 3] = [(2.0 * n - 1.0 / 12.0) ** ((a + c) / 2.0 - 0.25) for a, _, c in abc]
+    groups = []  # (k, float gate, rho, alphas): one per (k, varrho) with a bucket
+    keys = []  # (gamma, t, varrho, k, l, a, b, c) of each term, in summation order
+    rows = []  # per k: each (bucket, l) row's sum, k, alpha index and factors
+    size = 0  # the alphas of `groups`
     for gamma in (d for d in range(1, T + 1) if T % d == 0):
         gates = {rho: positivity_gate(T, gamma, rho) for rho in range(-half, half + 1)}
         gated = [rho for rho, gate in gates.items() if gate > 0]
@@ -165,40 +176,60 @@ def theorem_a_main(query: AsymptoticQuery) -> TermBreakdown:
         reachable = [rho for rho in gated if rho % (T // gamma) == 0]
         if not reachable:
             continue
+        floats = [float(gates[rho]) for rho in reachable]
+        # the five floats per (varrho, (a, b, c)); (kT)^(a-1/2) is set per k
+        table = np.repeat(fixed[None], len(reachable), axis=0)
+        table[:, :, 2] = [gamma ** (c + 0.5) for _, _, c in abc]
+        table[:, :, 4] = [[gate ** (0.75 - (a + c) / 2.0) for a, _, c in abc]
+                          for gate in floats]
         for k, (counts, sums) in zip(ks, kloosterman_partials(T, ks, n, reachable)):
             K = k // gamma
-            for t, t_counts, t_sums in zip(ts, counts.tolist(), sums.tolist()):
-                for rho, count, values in zip(reachable, t_counts, t_sums):
-                    if not count:
-                        continue
-                    alphas = table.setdefault((k, rho), (gamma, float(gates[rho]), []))[2]
-                    buckets.append((k, t, rho, len(alphas), values))
-                    # float(alpha_shift(T, t, l, K)): int / int is correctly rounded
-                    alphas += [(-2 * t + (2 * l - K + 1) * T) / (2 * T * K)
-                               for l in range(len(values))]
+            ti, ri = np.nonzero(counts)  # the filled buckets in the terms' (t, varrho) order
+            if not len(ti):
+                continue
+            rj, tj = np.nonzero(counts.T)  # and in the groups' (varrho, t) order
+            # one group per varrho; `place` is each bucket's place in this k's groups
+            place = np.empty(counts.shape, dtype=int)
+            place[tj, rj] = np.arange(len(tj))
+            # float(alpha_shift(T, t, l, K)): int64 / int64 is correctly rounded
+            alphas = (-2 * ts[tj, None] + (2 * np.arange(K) - K + 1) * T) / (2 * T * K)
+            for j in sorted(set(rj.tolist())):
+                groups.append((k, floats[j], reachable[j], alphas[rj == j].ravel()))
+            table[:, :, 1] = [float(k * T) ** (a - 0.5) for a, _, _ in abc]
+            # the terms' (bucket, l) rows, in (t, varrho, l) order
+            bucket, ell = np.divmod(np.arange(len(ti) * K), K)
+            ti, ri = ti[bucket], ri[bucket]
+            rows.append((sums[ti, ri, ell], np.full(len(ell), float(k)),
+                         size + place[ti, ri] * K + ell, table[ri]))
+            keys += [(gamma, t, reachable[j], k, l, a, b, c)
+                     for t, j, l in zip(ts[ti].tolist(), ri.tolist(), ell.tolist())
+                     for a, b, c in abc]
+            size += alphas.size
 
-    # per (c, s = a + c) and (k, varrho): one value per alpha of the group,
-    # every group from one quadrature pass
-    groups = [(k, gate, rho, alphas) for (k, rho), (_, gate, alphas) in table.items()]
-    integrals = {(c, s): dict(zip(table, bessel_integrals(T, n, c, s, groups)))
-                 for c, s in dict.fromkeys((c, a + c) for (a, _, c) in abc)}
-    weights = [kappa_h(*key).to_float() for key in abc]
+    # every (c, s = a + c) and (k, varrho) group from one quadrature pass
+    pairs = list(dict.fromkeys((c, a + c) for a, _, c in abc))
     h_acc = 0j
-    for k, t, rho, first, values in buckets:
-        gamma, gate, _ = table[(k, rho)]
-        factors = [(a, b, c, weight,
-                    float(k * T) ** (a - 0.5),
-                    gamma ** (c + 0.5),
-                    (2.0 * n - 1.0 / 12.0) ** ((a + c) / 2.0 - 0.25),
-                    gate ** (0.75 - (a + c) / 2.0),
-                    integrals[(c, a + c)][(k, rho)])
-                   for (a, b, c), weight in zip(abc, weights)]
-        for l, kv in enumerate(values):
-            lead = 2.0 * math.pi * kv / k
-            for a, b, c, weight, kt_pow, gamma_pow, n_pow, beta_pow, ints in factors:
-                term = lead * weight * kt_pow * gamma_pow * n_pow * beta_pow * ints[first + l]
-                h_acc += term
-                out.mordell_contributions[(gamma, t, rho, k, l, a, b, c)] = term
+    if rows:
+        kv, kf, index, factors = (np.concatenate(part) for part in zip(*rows))
+        integrals = np.array([list(chain.from_iterable(values)) for values in
+                              bessel_integrals(T, n, pairs, groups)])
+        # the products CPython forms for 2.0 * math.pi * K / k * f1 * ... * f5
+        # * integral, zero signs included: complex times float w is
+        # (re w - im 0.0, re 0.0 + im w), complex over int k is
+        # ((re + im 0.0)/k, (im - re 0.0)/k)
+        re, im, kf = kv.real[:, None], kv.imag[:, None], kf[:, None]
+        re, im = re * (2.0 * math.pi) - im * 0.0, re * 0.0 + im * (2.0 * math.pi)
+        re, im = (re + im * 0.0) / kf, (im - re * 0.0) / kf
+        for f in np.moveaxis(factors, 2, 0):
+            re, im = re * f - im * 0.0, re * 0.0 + im * f
+        ints = integrals[[pairs.index((c, a + c)) for a, _, c in abc], index[:, None]]
+        re, im = re * ints.real - im * ints.imag, re * ints.imag + im * ints.real
+        # summed in key order: cumsum adds in sequence, and "+ 0.0" gives the
+        # +0.0 that a sum started from 0j gives
+        h_acc = complex(np.cumsum(re)[-1] + 0.0, np.cumsum(im)[-1] + 0.0)
+        terms = np.empty(re.shape, dtype=complex)
+        terms.real, terms.imag = re, im
+        out.mordell_contributions = dict(zip(keys, terms.ravel().tolist()))
     out.mordell_part = _realize(h_acc, out.mordell_contributions, "mordell part")
     if T <= 3:
         assert out.mordell_part == 0.0 and not out.mordell_contributions

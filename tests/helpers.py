@@ -3,10 +3,11 @@
 Everything here is deliberately naive and independent of the package's
 series engine: direct partition enumeration (`spt_oracle`,
 `garvan_k_rank_counts`), literal formula evaluation (`selberg_a_mp`, and
-`selberg_a` in double precision), and the two-variable moment kernel with
+`selberg_a` in double precision), the two-variable moment kernel with
 Taylor coefficients by a Cauchy integral (`moment_kernel`,
 `taylor_moments`, `taylor_identity_check`), which the package itself
-does not need.
+does not need, and the Mordell part's terms as a scalar loop
+(`mordell_terms`).
 """
 
 from __future__ import annotations
@@ -21,9 +22,11 @@ from math import gcd
 import mpmath as mp
 import numpy as np
 
+from trank.asymptotics import positivity_gate
 from trank.errors import ConvergenceError
 from trank.mockforms import eta_tau, zwegers_a_t_tau
-from trank.specfun import kappa, kappa_h, kappa_h_support, kappa_support
+from trank.specfun import bessel_integrals, kappa, kappa_h, kappa_h_support, kappa_support
+from trank.units import alpha_shift, kloosterman_partials
 
 
 def partitions(n: int):
@@ -298,3 +301,54 @@ def taylor_identity_check(family: str, nu: complex, z: complex, lam: complex,
     scale = max(abs(v) for v in rhs)
     # structurally-zero coefficients are held to an absolute floor
     return max(abs(lv - rv) / (abs(rv) if rv else 1e-3 * scale) for lv, rv in zip(lhs, rhs))
+
+
+def mordell_terms(query) -> tuple[dict, complex]:
+    """The Mordell part of `theorem_a_main(query)` as a scalar loop: its
+    terms keyed by (gamma, t, varrho, k, l, a, b, c) and their sum from 0j,
+    both in that key order.  Each term is the Python complex product
+
+        2 pi K / k * kappa_h(a, b, c) * (kT)^(a - 1/2) * gamma^(c + 1/2)
+            * (2n - 1/12)^((a + c)/2 - 1/4) * gate^(3/4 - (a + c)/2) * integral,
+
+    K a bucket of `kloosterman_partials` (one per filled (t, varrho), over
+    l) and the integral from one `bessel_integrals` call per (c, s = a + c)
+    over the (k, varrho) groups, at alpha = `alpha_shift(T, t, l, k/gamma)`."""
+    T, r, n = query.T, query.r, query.n
+    abc = kappa_h_support(r)
+    half = (T - 1) // 2
+    ts = [t for t in range(-half, half + 1) if t]
+    table = {}  # (k, varrho) -> (gamma, float gate, the alphas of its (t, l))
+    buckets = []  # (k, t, varrho, index of its l = 0 alpha, sums over l)
+    for gamma in (d for d in range(1, T + 1) if T % d == 0):
+        gates = {rho: positivity_gate(T, gamma, rho) for rho in range(-half, half + 1)}
+        reachable = [rho for rho, gate in gates.items()
+                     if gate > 0 and rho % (T // gamma) == 0]
+        ks = [k for k in range(1, query.cap + 1) if gcd(T, k) == gamma]
+        if not reachable:
+            continue
+        for k, (counts, sums) in zip(ks, kloosterman_partials(T, ks, n, reachable)):
+            for t, t_counts, t_sums in zip(ts, counts.tolist(), sums.tolist()):
+                for rho, count, values in zip(reachable, t_counts, t_sums):
+                    if count:
+                        alphas = table.setdefault((k, rho), (gamma, float(gates[rho]), []))[2]
+                        buckets.append((k, t, rho, len(alphas), values))
+                        alphas += [float(alpha_shift(T, t, l, k // gamma))
+                                   for l in range(len(values))]
+    groups = [(k, gate, rho, alphas) for (k, rho), (_, gate, alphas) in table.items()]
+    integrals = {pair: dict(zip(table, bessel_integrals(T, n, [pair], groups)[0]))
+                 for pair in dict.fromkeys((c, a + c) for a, _, c in abc)}
+    terms = {}
+    total = 0j
+    for k, t, rho, first, values in buckets:
+        gamma, gate, _ = table[(k, rho)]
+        for l, kv in enumerate(values):
+            for a, b, c in abc:
+                term = (2.0 * math.pi * kv / k * kappa_h(a, b, c).to_float()
+                        * float(k * T) ** (a - 0.5) * gamma ** (c + 0.5)
+                        * (2.0 * n - 1.0 / 12.0) ** ((a + c) / 2.0 - 0.25)
+                        * gate ** (0.75 - (a + c) / 2.0)
+                        * integrals[(c, a + c)][(k, rho)][first + l])
+                total += term
+                terms[(gamma, t, rho, k, l, a, b, c)] = term
+    return terms, total

@@ -27,7 +27,7 @@ from trank.errors import TruncationError
 from trank.qseries import moment_table, spt_series
 from trank.specfun import kappa, kappa_support
 
-from helpers import selberg_a_mp, spt_oracle
+from helpers import mordell_terms, selberg_a_mp, spt_oracle
 
 
 class TestQueryValidation:
@@ -87,6 +87,26 @@ class TestTheoremA:
         assert b.dropped_terms > 0
         theorem_a_main(AsymptoticQuery(T=5, r=2, n=300))
         assert calls
+
+    @pytest.mark.parametrize("T, r, n", [(5, 4, 300), (7, 4, 200), (23, 2, 221),
+                                         (15, 8, 900), (9, 26, 400)])
+    def test_mordell_terms_equal_scalar_loop(self, T, r, n):
+        # the array-built terms and their sum against the scalar Python loop
+        # of `helpers.mordell_terms`, by float.hex of both parts, zero signs
+        # included; T = 15 and 9 have several gammas and +-varrho groups
+        query = AsymptoticQuery(T=T, r=r, n=n)
+        terms, total = mordell_terms(query)
+        breakdown = theorem_a_main(query)
+
+        def bits(values):
+            return [(v.real.hex(), v.imag.hex()) for v in values]
+
+        assert list(breakdown.mordell_contributions) == list(terms)
+        assert bits(breakdown.mordell_contributions.values()) == bits(terms.values())
+        assert breakdown.mordell_part.hex() == total.real.hex()
+        # every case has parts that are -0.0, where a product that skips
+        # CPython's zero terms would give +0.0
+        assert any("-0x0.0p+0" in pair for pair in bits(terms.values()))
 
     def test_matches_exact_T1(self):
         table = moment_table(1, 2, 250)

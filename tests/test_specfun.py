@@ -123,6 +123,22 @@ class TestBesselI:
         for v in xs[:2].ravel().tolist():  # below 5/2, where the series runs
             assert bessel_i(order, v) == bessel_i(order, np.array([v]))[0]
 
+    @pytest.mark.parametrize("two_nu", [-3, -1, 1, 3, 5])
+    def test_series_and_closed_form_in_one_array(self, two_nu):
+        # one array on both sides of x = |order|, x = |order| itself (the
+        # closed form's first point) included: the series runs on the small
+        # elements only, and every element is bit for bit its scalar call
+        order = Fraction(two_nu, 2)
+        edge = abs(two_nu) / 2.0
+        rng = np.random.default_rng(two_nu + 3)
+        xs = np.concatenate([[edge, math.nextafter(edge, 0.0), 1e-3],
+                             rng.uniform(0.01, 3.0 * edge, 40)])
+        rng.shuffle(xs)
+        assert (xs < edge).sum() > 5 and (xs > edge).sum() > 5
+        together = bessel_i(order, xs).tolist()
+        alone = [bessel_i(order, x) for x in xs.tolist()]
+        assert [v.hex() for v in together] == [v.hex() for v in alone]
+
     @pytest.mark.parametrize("order", BESSEL_CASES)
     def test_large_argument_against_mpmath(self, order):
         # the main term reaches x = 243 at n = 9000; up to 700 every value,
@@ -407,9 +423,9 @@ def _params(**kw):
 
 
 def _grouped(p, alphas):
-    """`bessel_integrals` of p's one group at each of alphas."""
-    return bessel_integrals(p["T"], p["n"], p["c"], p["s"],
-                            [(p["k"], p["beta"], p["rho"], alphas)])
+    """`bessel_integrals` of p's one (c, s) and one group at each of alphas."""
+    return bessel_integrals(p["T"], p["n"], [(p["c"], p["s"])],
+                            [(p["k"], p["beta"], p["rho"], alphas)])[0]
 
 
 def _gate(T, rho):
@@ -418,9 +434,20 @@ def _gate(T, rho):
 
 
 class TestBesselIntegral:
-    def test_odd_symmetry_zero(self):
+    def test_odd_symmetry_zero(self, monkeypatch):
+        # the integrand is odd, so the relative test cannot pass; the
+        # roundoff floor of sum |f| stops the doubling at 4 panels
+        original = bessel_i
+        shapes = []
+
+        def counting(order, y):
+            shapes.append(y.shape)
+            return original(order, y)
+
+        monkeypatch.setattr("trank.specfun.bessel_i", counting)
         val = bessel_integral(**_params(rho=0), alpha=0.0)
-        assert abs(val) < 1e-7  # roundoff floor of a cancelling integrand
+        assert abs(val) < 1e-7
+        assert shapes == [(1, 2, 24), (1, 4, 24)]
 
     # Groups that `theorem_a_main` builds, (T, n, c, s, k, rho, alpha):
     # gamma = gcd(T, k), rho a multiple of T / gamma past the gate, and
@@ -492,7 +519,8 @@ class TestBesselIntegral:
         assert _grouped(p, alphas) == [alone]
         assert calls == [(1, 2, 24), (1, 4, 24), (1, 8, 24)]
         assert _grouped(p, []) == [[]]
-        assert bessel_integrals(7, 40, 1, 3, []) == []
+        assert bessel_integrals(7, 40, [(1, 3)], []) == [[]]
+        assert bessel_integrals(7, 40, [], [(1, 0.01, 0, [0.1])]) == []
 
     def test_pending_alphas_converge_at_their_own_panel_count(self, monkeypatch):
         # T = 13, varrho = 6/13: the two outer alphas converge at 8 panels
@@ -543,14 +571,42 @@ class TestBesselIntegral:
         alone, panels = [], []
         for g in groups:
             shapes.clear()
-            alone.append(bessel_integrals(13, 40, 1, 2, [g])[0])
+            alone.append(bessel_integrals(13, 40, [(1, 2)], [g])[0][0])
             panels.append([shape[1] for shape in shapes])
         assert panels == [[2, 4, 8, 16], [2, 4], [2, 4, 8]]
         # 17 alphas: blocks of 5 at 2 panels, of 2 at 4 and of 1 from 8 on
         monkeypatch.setattr("trank.specfun._BLOCK_NODES", 5 * 2 * 24)
         shapes.clear()
-        assert bessel_integrals(13, 40, 1, 2, groups) == alone
+        assert bessel_integrals(13, 40, [(1, 2)], groups) == [alone]
         assert shapes == [(3, 2, 24), (3, 4, 24), (2, 8, 24), (1, 16, 24)]
+
+    def test_pairs_in_one_pass_match_one_call_per_pair(self, monkeypatch):
+        # the groups above under four (c, s) pairs: alone, (5, 5) converges
+        # at 4 panels in every group, (0, 1) at 16, and (1, 3) and (3, 3)
+        # share s = 3.  In one pass, in blocks that end inside a group, every
+        # pair's values are bit-identical to its own call per group, and
+        # each panel count takes one bessel_i call per s still pending
+        groups = [(1, _gate(13, 6), 6, [s / 25 for s in range(-12, 13, 3)]),
+                  (2, _gate(13, 5), 5, [s / 26 for s in (-11, -2, 7)]),
+                  (3, _gate(13, -6), -6, [s / 25 for s in range(-12, 13, 6)])]
+        pairs = [(5, 5), (0, 1), (1, 3), (3, 3)]
+        alone = [[bessel_integrals(13, 40, [pair], [g])[0][0] for g in groups]
+                 for pair in pairs]
+        original = bessel_i
+        calls = []
+
+        def counting(order, y):
+            calls.append((order, y.shape))
+            return original(order, y)
+
+        monkeypatch.setattr("trank.specfun.bessel_i", counting)
+        monkeypatch.setattr("trank.specfun._BLOCK_NODES", 5 * 2 * 24)
+        assert bessel_integrals(13, 40, pairs, groups) == alone
+        orders = {s: Fraction(2 * s - 1, 2) for s in (5, 1, 3)}
+        assert calls == [(orders[s], (live, panels, 24))
+                         for live, panels, ss in [(3, 2, (5, 1, 3)), (3, 4, (5, 1, 3)),
+                                                  (2, 8, (1, 3)), (2, 16, (1, 3))]
+                         for s in ss]
 
     def test_unconvergeable_group_raises(self, monkeypatch):
         # a Bessel factor that drifts on every call keeps each alpha's

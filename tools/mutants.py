@@ -28,23 +28,25 @@ REPO = Path(__file__).resolve().parent.parent
 
 # name -> (file under src/trank, text, replacement)
 MUTANTS = {
-    "lead-1.01": ("asymptotics.py", "lead = 2.0 * math.pi * kv / k\n",
-                  "lead = 2.0 * math.pi * kv / k * 1.01\n"),
-    "lead-1.5": ("asymptotics.py", "lead = 2.0 * math.pi * kv / k\n",
-                 "lead = 2.0 * math.pi * kv / k * 1.5\n"),
+    "lead-1.01": ("asymptotics.py", "re, im = (re + im * 0.0) / kf, (im - re * 0.0) / kf\n",
+                  "re, im = (re + im * 0.0) / kf * 1.01, (im - re * 0.0) / kf * 1.01\n"),
+    "lead-1.5": ("asymptotics.py", "re, im = (re + im * 0.0) / kf, (im - re * 0.0) / kf\n",
+                 "re, im = (re + im * 0.0) / kf * 1.5, (im - re * 0.0) / kf * 1.5\n"),
     "gate-exponent-0.76": ("asymptotics.py", "gate ** (0.75 - (a + c) / 2.0)",
                            "gate ** (0.76 - (a + c) / 2.0)"),
     "mu-k2-1e-6": ("asymptotics.py", "term = (2.0 * math.pi * kv / k\n",
                    "term = (2.0 * math.pi * kv / k * (1.0 + 1e-6 * (k >= 2))\n"),
     "gate-threshold-0.02": ("asymptotics.py", "if gate > 0]", "if gate > 0.02]"),
     "gate-threshold-0.04": ("asymptotics.py", "if gate > 0]", "if gate > 0.04]"),
-    "drop-last-l": ("asymptotics.py", "for l, kv in enumerate(values):",
-                    "for l, kv in enumerate(values[:-1]):"),
-    "doubling-1e-2": ("specfun.py", "np.maximum(1e-9 * np.abs(total)",
-                      "np.maximum(1e-2 * np.abs(total)"),
+    "drop-last-l": ("asymptotics.py", "bucket, ell = np.divmod(np.arange(len(ti) * K), K)\n",
+                    "bucket, ell = np.divmod(np.arange(len(ti) * (K - 1)), K - 1)\n"),
+    "doubling-1e-2": ("specfun.py", "done = diff <= 1e-9 * np.abs(total)",
+                      "done = diff <= 1e-2 * np.abs(total)"),
     "k-cap-half": ("asymptotics.py", "else isqrt(self.n)\n", "else isqrt(self.n // 4)\n"),
-    "endpoint-exponent": ("specfun.py", "half_exp = (0.5 - s) / 2.0\n",
-                          "half_exp = (0.5 - s) / 2.0 + 1e-6\n"),
+    "endpoint-exponent": ("specfun.py", "one_minus ** ((0.5 - s) / 2.0)",
+                          "one_minus ** ((0.5 - s) / 2.0 + 1e-6)"),
+    "bessel-first-s": ("specfun.py", "vals *= bessel_rows[s][part]",
+                       "vals *= bessel_rows[active[0][2]][part]"),
 }
 
 PYTEST = [sys.executable, "-m", "pytest", "-q", "-x", "-rfE", "-p", "no:cacheprovider",
