@@ -43,6 +43,7 @@ from .specfun import (
     script_h,
 )
 from .units import (
+    _check_range,
     alpha_shift,
     kloosterman_numerator,
     kloosterman_partials,
@@ -97,9 +98,8 @@ class TermBreakdown:
     mu_contributions is keyed by (k, a, b, c); mordell_contributions by
     (gamma, t, varrho, k, l, a, b, c).  dropped_terms counts the
     (t, varrho, k, l) x (a, b, c) combinations excluded by the positivity
-    gate.  The total is mathematically real for even r; assembly keeps
-    complex accumulators and checks the imaginary part before exposing
-    the real parts.
+    gate.  The total is mathematically real for even r: `_assemble` checks
+    each part's imaginary part before exposing its real part.
     """
 
     query: AsymptoticQuery
@@ -114,17 +114,34 @@ class TermBreakdown:
         return self.mu_part + self.mordell_part
 
 
-def _realize(value: complex, terms: dict, what: str) -> float:
-    """The real part of `value`, the sum of `terms`, once it is checked to
-    be finite and its imaginary part is checked against sum |term|: the
-    scale on which each term's error is bounded, which the real part
-    itself may cancel far below.  No terms sum to 0.0."""
+def _assemble(keys, head, ks, factors, last, what: str) -> tuple[float, dict]:
+    """The real part of the sum of the terms 2.0 * math.pi * head / k * f_1
+    * ... * f_m * last, over rows (one complex head and float k each) and
+    columns, and the terms keyed by `keys` in row-major, that is summation,
+    order.  Each part follows CPython's complex products, zero signs
+    included: times a float w is (re w - im 0.0, re 0.0 + im w), over an
+    int k is ((re + im 0.0)/k, (im - re 0.0)/k), and a real `last` gives
+    the same bits as a complex one with imaginary part 0.0.  `np.cumsum`
+    adds in sequence, and "+ 0.0" gives the +0.0 of a sum from 0j.  The
+    sum must be finite, with imaginary part at most 1e-8 sum |term|: the
+    scale of each term's error, which the real part may cancel far below.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite sums raise below
+        re, im = head.real[:, None], head.imag[:, None]
+        re, im = re * (2.0 * math.pi) - im * 0.0, re * 0.0 + im * (2.0 * math.pi)
+        re, im = (re + im * 0.0) / ks[:, None], (im - re * 0.0) / ks[:, None]
+        for f in factors:
+            re, im = re * f - im * 0.0, re * 0.0 + im * f
+        re, im = re * last.real - im * last.imag, re * last.imag + im * last.real
+        value = complex(np.cumsum(re)[-1] + 0.0, np.cumsum(im)[-1] + 0.0)
+        scale = np.hypot(re, im).sum()
     if not cmath.isfinite(value):
         raise ValueError(f"{what} is not finite: {value}")
-    scale = sum(abs(term) for term in terms.values())
     if abs(value.imag) > 1e-8 * max(scale, 1e-300):
         raise ArithmeticError(f"{what} has a non-negligible imaginary part: {value}")
-    return value.real
+    terms = np.empty(re.shape, dtype=complex)
+    terms.real, terms.imag = re, im
+    return value.real, dict(zip(keys, terms.ravel().tolist()))
 
 
 def theorem_a_main(query: AsymptoticQuery) -> TermBreakdown:
@@ -138,24 +155,25 @@ def theorem_a_main(query: AsymptoticQuery) -> TermBreakdown:
     multiples of gamma_co are summed, so T = 3 takes no Kloosterman partial
     sum and evaluates no Bessel integral.
 
-    The Mordell part is assembled first, so a k_cap past its range (k must
-    keep 96 T^3 k^2 <= 2^53, else `ValueError`) or past memory ends the
-    call before any mu-part work.  It takes three passes: the partial
-    Kloosterman sums of every k of a gamma from one `kloosterman_partials`
-    call, whose int64 array pass runs over blocks of at most 2^13 (t, h, l)
-    values and buckets each unit by t and varrho; the Bessel integrals of
-    every (c, s = a + c) at the alphas of every (k, varrho) group, in one
-    quadrature pass; then the terms, as arrays over (bucket, l) rows and
-    (a, b, c) columns whose real and imaginary parts follow CPython's
-    complex products factor by factor, summed in (gamma, k, t, varrho, l,
-    a, b, c) order by `np.cumsum`, so each term and the sum have the bits
-    of a scalar Python loop.  The mu part evaluates each Bessel order
-    once, for every k at once.
+    For T > 3 a k_cap past the Mordell part's range (96 T^3 k^2 <= 2^53)
+    raises `ValueError` before any list of k is built, and the Mordell part
+    comes first, so a k_cap past memory ends the call before any mu-part
+    work.  It takes three passes: the partial Kloosterman sums of every k
+    of a gamma from one `kloosterman_partials` call, whose int64 array pass
+    runs over blocks of at most 2^13 (t, h, l) values and buckets each unit
+    by t and varrho; the Bessel integrals of every (c, s = a + c) at the
+    alphas of every (k, varrho) group, in one quadrature pass; then the
+    terms, over (bucket, l) rows and (a, b, c) columns.  The mu part
+    evaluates each Bessel order once, for every k at once, over k rows and
+    (a, b, c) columns.  `_assemble` forms and sums the terms of both parts
+    with the bits of a scalar Python loop.
     """
     T, r, n = query.T, query.r, query.n
     out = TermBreakdown(query=query)
     abc = kappa_h_support(r)
     half = (T - 1) // 2
+    if T > 3:  # gamma = 1 reaches varrho = 0, so the partial sums run to within T of k_cap
+        _check_range(T, query.cap)
     ts = np.array([t for t in range(-half, half + 1) if t])
     # each term is 2 pi K / k times these five floats, in this order, times
     # its integral: kappa_h, (kT)^(a-1/2), gamma^(c+1/2),
@@ -208,52 +226,34 @@ def theorem_a_main(query: AsymptoticQuery) -> TermBreakdown:
 
     # every (c, s = a + c) and (k, varrho) group from one quadrature pass
     pairs = list(dict.fromkeys((c, a + c) for a, _, c in abc))
-    h_acc = 0j
     if rows:
         kv, kf, index, factors = (np.concatenate(part) for part in zip(*rows))
         integrals = np.array([list(chain.from_iterable(values)) for values in
                               bessel_integrals(T, n, pairs, groups)])
-        # the products CPython forms for 2.0 * math.pi * K / k * f1 * ... * f5
-        # * integral, zero signs included: complex times float w is
-        # (re w - im 0.0, re 0.0 + im w), complex over int k is
-        # ((re + im 0.0)/k, (im - re 0.0)/k)
-        re, im, kf = kv.real[:, None], kv.imag[:, None], kf[:, None]
-        re, im = re * (2.0 * math.pi) - im * 0.0, re * 0.0 + im * (2.0 * math.pi)
-        re, im = (re + im * 0.0) / kf, (im - re * 0.0) / kf
-        for f in np.moveaxis(factors, 2, 0):
-            re, im = re * f - im * 0.0, re * 0.0 + im * f
         ints = integrals[[pairs.index((c, a + c)) for a, _, c in abc], index[:, None]]
-        re, im = re * ints.real - im * ints.imag, re * ints.imag + im * ints.real
-        # summed in key order: cumsum adds in sequence, and "+ 0.0" gives the
-        # +0.0 that a sum started from 0j gives
-        h_acc = complex(np.cumsum(re)[-1] + 0.0, np.cumsum(im)[-1] + 0.0)
-        terms = np.empty(re.shape, dtype=complex)
-        terms.real, terms.imag = re, im
-        out.mordell_contributions = dict(zip(keys, terms.ravel().tolist()))
-    out.mordell_part = _realize(h_acc, out.mordell_contributions, "mordell part")
+        out.mordell_part, out.mordell_contributions = _assemble(
+            keys, kv, kf, np.moveaxis(factors, 2, 0), ints, "mordell part")
     if T <= 3:
         assert out.mordell_part == 0.0 and not out.mordell_contributions
 
-    mu_acc = 0j
     root = math.pi * math.sqrt(24.0 * n - 1.0) / 6.0
-    coefs = [(a, b, c, Fraction(-3 + 2 * a + 4 * c, 2), kappa(a, b, c).to_float())
-             for (a, b, c) in kappa_support(r)]
+    support = kappa_support(r)
+    orders = [Fraction(-3 + 2 * a + 4 * c, 2) for a, _, c in support]
     nonzero = [(k, kv) for k in range(1, query.cap + 1)
                if (kv := kloosterman_sum(k, n).value) != 0]
+    ks = np.array([k for k, _ in nonzero], dtype=float)
     # I_order(root / k) for every k of `nonzero`, one call per order on a
     # (k x 1) array: each row is its own call, with its own Miller depth.
-    args = root / np.array([[k] for k, _ in nonzero], dtype=float)
-    bessels = {order: bessel_i(order, args).ravel().tolist()
-               for order in dict.fromkeys(order for *_, order, _ in coefs)}
-    for i, (k, kv) in enumerate(nonzero):
-        for a, b, c, order, coef in coefs:
-            term = (2.0 * math.pi * kv / k
-                    * coef * (k * T) ** a
-                    * (24.0 * n - 1.0) ** (-0.75 + a / 2.0 + c)
-                    * bessels[order][i])
-            mu_acc += term
-            out.mu_contributions[(k, a, b, c)] = term
-    out.mu_part = _realize(mu_acc, out.mu_contributions, "mu part")
+    bessels = {order: bessel_i(order, root / ks[:, None]) for order in dict.fromkeys(orders)}
+    # 2 pi K_k(n) / k times kappa, (kT)^a as a complex times an int converts
+    # it, and (24n - 1)^(-3/4 + a/2 + c), times I_order(root / k)
+    factors = [np.array([kappa(*key).to_float() for key in support]),
+               np.array([[float((k * T) ** a) for a, _, _ in support] for k, _ in nonzero]),
+               np.array([(24.0 * n - 1.0) ** (-0.75 + a / 2.0 + c) for a, _, c in support])]
+    out.mu_part, out.mu_contributions = _assemble(
+        [(k, *key) for k, _ in nonzero for key in support],
+        np.array([kv for _, kv in nonzero]), ks, factors,
+        np.hstack([bessels[order] for order in orders]), "mu part")
     return out
 
 

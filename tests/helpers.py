@@ -25,8 +25,9 @@ import numpy as np
 from trank.asymptotics import positivity_gate
 from trank.errors import ConvergenceError
 from trank.mockforms import eta_tau, zwegers_a_t_tau
-from trank.specfun import bessel_integrals, kappa, kappa_h, kappa_h_support, kappa_support
-from trank.units import alpha_shift, kloosterman_partials
+from trank.specfun import (bessel_i, bessel_integrals, kappa, kappa_h, kappa_h_support,
+                           kappa_support)
+from trank.units import alpha_shift, kloosterman_partials, kloosterman_sum
 
 
 def partitions(n: int):
@@ -351,4 +352,36 @@ def mordell_terms(query) -> tuple[dict, complex]:
                         * integrals[(c, a + c)][(k, rho)][first + l])
                 total += term
                 terms[(gamma, t, rho, k, l, a, b, c)] = term
+    return terms, total
+
+
+def mu_terms(query) -> tuple[dict, complex]:
+    """The mu part of `theorem_a_main(query)` as a scalar loop: its terms
+    keyed by (k, a, b, c) and their sum from 0j, both in that key order,
+    over the k with K_k(n) != 0.  Each term is the Python complex product
+
+        2 pi K_k(n) / k * kappa(a, b, c) * (kT)^a * (24n - 1)^(-3/4 + a/2 + c)
+            * I_nu(pi sqrt(24n - 1) / (6k)),   nu = (2a + 4c - 3)/2,
+
+    with (kT)^a an int, and each Bessel order from one `bessel_i` call on
+    a (k x 1) array of the k."""
+    T, r, n = query.T, query.r, query.n
+    coefs = [(a, b, c, Fraction(-3 + 2 * a + 4 * c, 2), kappa(a, b, c).to_float())
+             for (a, b, c) in kappa_support(r)]
+    nonzero = [(k, kv) for k in range(1, query.cap + 1)
+               if (kv := kloosterman_sum(k, n).value) != 0]
+    root = math.pi * math.sqrt(24.0 * n - 1.0) / 6.0
+    args = root / np.array([[k] for k, _ in nonzero], dtype=float)
+    bessels = {order: bessel_i(order, args).ravel().tolist()
+               for order in dict.fromkeys(order for *_, order, _ in coefs)}
+    terms = {}
+    total = 0j
+    for i, (k, kv) in enumerate(nonzero):
+        for a, b, c, order, coef in coefs:
+            term = (2.0 * math.pi * kv / k
+                    * coef * (k * T) ** a
+                    * (24.0 * n - 1.0) ** (-0.75 + a / 2.0 + c)
+                    * bessels[order][i])
+            total += term
+            terms[(k, a, b, c)] = term
     return terms, total

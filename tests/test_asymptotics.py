@@ -11,7 +11,7 @@ import pytest
 from trank import asymptotics
 from trank.asymptotics import (
     AsymptoticQuery,
-    _realize,
+    _assemble,
     comparison_rows,
     garvan_scan,
     moment_cusp_mordell,
@@ -27,7 +27,7 @@ from trank.errors import TruncationError
 from trank.qseries import moment_table, spt_series
 from trank.specfun import kappa, kappa_support
 
-from helpers import mordell_terms, selberg_a_mp, spt_oracle
+from helpers import mordell_terms, mu_terms, selberg_a_mp, spt_oracle
 
 
 class TestQueryValidation:
@@ -108,6 +108,25 @@ class TestTheoremA:
         # CPython's zero terms would give +0.0
         assert any("-0x0.0p+0" in pair for pair in bits(terms.values()))
 
+    def test_mu_terms_equal_scalar_loop(self):
+        # the array-built mu terms and their sum against the scalar Python
+        # loop of `helpers.mu_terms`, by float.hex of both parts, zero signs
+        # included; r = 26 takes (kT)^a past int64, and only the last query
+        # has parts that are -0.0
+        zeros = 0
+        for query in (AsymptoticQuery(T=1, r=2, n=100), AsymptoticQuery(T=5, r=4, n=300),
+                      AsymptoticQuery(T=3, r=26, n=2000),
+                      AsymptoticQuery(T=1, r=8, n=50, k_cap=120)):
+            terms, total = mu_terms(query)
+            breakdown = theorem_a_main(query)
+            bits = [(v.real.hex(), v.imag.hex()) for v in terms.values()]
+            assert list(breakdown.mu_contributions) == list(terms)
+            assert [(v.real.hex(), v.imag.hex())
+                    for v in breakdown.mu_contributions.values()] == bits
+            assert breakdown.mu_part.hex() == total.real.hex()
+            zeros += sum("-0x0.0p+0" in pair for pair in bits)
+        assert zeros
+
     def test_matches_exact_T1(self):
         table = moment_table(1, 2, 250)
         b = theorem_a_main(AsymptoticQuery(T=1, r=2, n=250))
@@ -140,19 +159,24 @@ class TestTheoremA:
         b = theorem_a_main(AsymptoticQuery(T=5, r=4, n=200))
         assert abs(b.total - moment_table(5, 4, 200)[200]) / b.total < 1e-10
 
+    @staticmethod
+    def _one_term_per_row(heads, what):
+        # one term 2 pi head per row: no factors, k = 1 and a real last of 1
+        heads = np.array(heads, dtype=complex)
+        ones = np.ones(len(heads))
+        return _assemble(range(len(heads)), heads, ones, [], ones[:, None], what)
+
     def test_realize_scale(self):
         # two terms cancel to 1e-10; the residue is 1e-9 of sum |term|
-        terms = {0: 1.0, 1: -1.0 + 1e-10, 2: 2e-9j}
-        value = sum(terms.values())
-        assert _realize(value, terms, "cancelled") == value.real
-        terms[2] = 2e-6j  # 1e-6 of sum |term|
-        with pytest.raises(ArithmeticError):
-            _realize(sum(terms.values()), terms, "residue")
+        part, terms = self._one_term_per_row([1.0, -1.0 + 1e-10, 2e-9j], "cancelled")
+        assert part == sum(terms.values()).real != 0.0
+        with pytest.raises(ArithmeticError):  # 1e-6 of sum |term|
+            self._one_term_per_row([1.0, -1.0 + 1e-10, 2e-6j], "residue")
 
     def test_realize_rejects_non_finite(self):
         for bad in (complex(math.nan, 0.0), complex(math.inf, 0.0)):
             with pytest.raises(ValueError, match="not finite"):
-                _realize(bad, {0: bad}, "overflowed")
+                self._one_term_per_row([bad], "overflowed")
 
     @pytest.mark.parametrize("r", [2, 6])
     def test_overflowing_mu_part_raises(self, r):

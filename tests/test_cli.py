@@ -206,14 +206,17 @@ class TestCompareScanSpt:
         # sqrt(n)) or the O(n^2) exact table starts
         _assert_one_error_line(_run_trank(argv, timeout=30))
 
-    @pytest.mark.parametrize("k_cap", [100000, 87814])
-    def test_k_cap_past_the_mordell_part_ends_at_once(self, k_cap):
+    @pytest.mark.parametrize("argv", [
+        pytest.param("--T 23 --r 2 --n 5 --k-cap 100000", id="100000"),
+        pytest.param("--T 23 --r 2 --n 5 --k-cap 87814", id="87814"),
+        "--T 5 --r 2 --n 3 --k-cap 99999999999999999999"])
+    def test_k_cap_past_the_mordell_part_ends_at_once(self, argv):
         # 100000 is past the int64 range of the partial Kloosterman sums
         # (96 T^3 k^2 <= 2^53); 87814 is in range, but its partial sums
         # need a 1.18 TiB array, whose allocation fails at once.  The
-        # Mordell part comes first, so both end before the mu part's k loop
-        _assert_one_error_line(
-            _run_trank(f"asymptotic --T 23 --r 2 --n 5 --k-cap {k_cap}", timeout=30))
+        # Mordell part comes first, so both end before the mu part's k loop,
+        # and the range is checked before any list of k up to k_cap is built
+        _assert_one_error_line(_run_trank(f"asymptotic {argv}", timeout=30))
 
     def test_asymptotic_command(self, tmp_path):
         out = tmp_path / "a.csv"

@@ -28,14 +28,14 @@ REPO = Path(__file__).resolve().parent.parent
 
 # name -> (file under src/trank, text, replacement)
 MUTANTS = {
-    "lead-1.01": ("asymptotics.py", "re, im = (re + im * 0.0) / kf, (im - re * 0.0) / kf\n",
-                  "re, im = (re + im * 0.0) / kf * 1.01, (im - re * 0.0) / kf * 1.01\n"),
-    "lead-1.5": ("asymptotics.py", "re, im = (re + im * 0.0) / kf, (im - re * 0.0) / kf\n",
-                 "re, im = (re + im * 0.0) / kf * 1.5, (im - re * 0.0) / kf * 1.5\n"),
+    "lead-1.01": ("asymptotics.py", "keys, kv, kf, np.moveaxis",
+                  "keys, kv * 1.01, kf, np.moveaxis"),
+    "lead-1.5": ("asymptotics.py", "keys, kv, kf, np.moveaxis",
+                 "keys, kv * 1.5, kf, np.moveaxis"),
     "gate-exponent-0.76": ("asymptotics.py", "gate ** (0.75 - (a + c) / 2.0)",
                            "gate ** (0.76 - (a + c) / 2.0)"),
-    "mu-k2-1e-6": ("asymptotics.py", "term = (2.0 * math.pi * kv / k\n",
-                   "term = (2.0 * math.pi * kv / k * (1.0 + 1e-6 * (k >= 2))\n"),
+    "mu-k2-1e-6": ("asymptotics.py", "np.array([kv for _, kv in nonzero])",
+                   "np.array([kv * (1.0 + 1e-6 * (k >= 2)) for k, kv in nonzero])"),
     "gate-threshold-0.02": ("asymptotics.py", "if gate > 0]", "if gate > 0.02]"),
     "gate-threshold-0.04": ("asymptotics.py", "if gate > 0]", "if gate > 0.04]"),
     "drop-last-l": ("asymptotics.py", "bucket, ell = np.divmod(np.arange(len(ti) * K), K)\n",
@@ -45,6 +45,8 @@ MUTANTS = {
     "k-cap-half": ("asymptotics.py", "else isqrt(self.n)\n", "else isqrt(self.n // 4)\n"),
     "endpoint-exponent": ("specfun.py", "one_minus ** ((0.5 - s) / 2.0)",
                           "one_minus ** ((0.5 - s) / 2.0 + 1e-6)"),
+    "drop-im-zero": ("asymptotics.py", "re, im = re * f - im * 0.0, re * 0.0 + im * f\n",
+                     "re, im = re * f, re * 0.0 + im * f\n"),
     "bessel-first-s": ("specfun.py", "vals *= bessel_rows[s][part]",
                        "vals *= bessel_rows[active[0][2]][part]"),
 }
