@@ -113,18 +113,19 @@ class TestTheoremA:
         # loop of `helpers.mu_terms`, by float.hex of both parts, zero signs
         # included; r = 26 takes (kT)^a past int64, and only the last query
         # has parts that are -0.0
+        def bits(values):
+            return [(v.real.hex(), v.imag.hex()) for v in values]
+
         zeros = 0
         for query in (AsymptoticQuery(T=1, r=2, n=100), AsymptoticQuery(T=5, r=4, n=300),
                       AsymptoticQuery(T=3, r=26, n=2000),
                       AsymptoticQuery(T=1, r=8, n=50, k_cap=120)):
             terms, total = mu_terms(query)
             breakdown = theorem_a_main(query)
-            bits = [(v.real.hex(), v.imag.hex()) for v in terms.values()]
             assert list(breakdown.mu_contributions) == list(terms)
-            assert [(v.real.hex(), v.imag.hex())
-                    for v in breakdown.mu_contributions.values()] == bits
+            assert bits(breakdown.mu_contributions.values()) == bits(terms.values())
             assert breakdown.mu_part.hex() == total.real.hex()
-            zeros += sum("-0x0.0p+0" in pair for pair in bits)
+            zeros += sum("-0x0.0p+0" in pair for pair in bits(terms.values()))
         assert zeros
 
     def test_matches_exact_T1(self):
